@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from scipy.stats import rankdata
 
-from .binning import _partition_for, _require_probs, bin_stats
+from .binning import _binned, _require_probs
 from .predictions import PredictionSet
 
 PROB_FLOOR = 1e-12
@@ -89,9 +89,11 @@ def mmce(preds: PredictionSet, kernel: Optional[KernelSpec] = None) -> float:
 
     sqrt(c^T K c) / N where c_i = correct_i - conf_i and
     K_ij = exp(-|conf_i - conf_j| / bandwidth).  With confidences sorted,
-    the quadratic form reduces to exponential prefix sums (exponents stay
-    within +-1/bandwidth, so this is exact and O(N) after the sort).  The
-    Gram matrix is PSD so the form is clamped at 0 before the root.
+    the off-diagonal part is sum_i c_i S_i with the decaying recurrence
+    S_i = exp(-(conf_i - conf_{i-1}) / bandwidth) * (S_{i-1} + c_{i-1}),
+    S_0 = 0.  Every factor lies in (0, 1], so this is exact, O(N) after the
+    sort, and cannot overflow at any bandwidth.  The Gram matrix is PSD so
+    the form is clamped at 0 before the root.
     """
     _require_probs(preds)
     if kernel is None:
@@ -102,12 +104,14 @@ def mmce(preds: PredictionSet, kernel: Optional[KernelSpec] = None) -> float:
     conf, correct = _canonical_order(preds.top_confidence(),
                                      preds.correctness().astype(np.float64))
     c = correct - conf
-    n = conf.size
-    up = c * np.exp(conf / bw)           # contributes when j is the lower index
-    down = c * np.exp(-conf / bw)
-    prefix = np.concatenate(([0.0], np.cumsum(up)[:-1]))
-    total = 2.0 * float(np.dot(down, prefix)) + float(np.dot(c, c))
-    return float(np.sqrt(max(total, 0.0)) / n)
+    decay = np.exp(-np.diff(conf) / bw).tolist()
+    s = 0.0
+    cross = 0.0
+    for d, prev, cur in zip(decay, c[:-1].tolist(), c[1:].tolist()):
+        s = d * (s + prev)
+        cross += cur * s
+    total = 2.0 * cross + float(np.dot(c, c))
+    return float(np.sqrt(max(total, 0.0)) / conf.size)
 
 
 KDE_BW_MIN = 1e-3
@@ -144,8 +148,8 @@ def kdece(preds: PredictionSet, kernel: Optional[KernelSpec] = None,
         raise ValueError("kdece requires a triweight kernel")
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
-    conf = preds.top_confidence()
-    correct = preds.correctness().astype(np.float64)
+    conf, correct = _canonical_order(preds.top_confidence(),
+                                     preds.correctness().astype(np.float64))
     h = kernel.bandwidth if kernel.bandwidth is not None \
         else silverman_bandwidth(conf)
     z = np.linspace(0.0, 1.0, grid)
@@ -154,9 +158,13 @@ def kdece(preds: PredictionSet, kernel: Optional[KernelSpec] = None,
     n = conf.size
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        w = kernel.evaluate((z[:, None] - conf[None, lo:hi]) / h) / h
-        dens += w.sum(axis=1)
-        acc_num += w @ correct[lo:hi]
+        # the kernel vanishes beyond one bandwidth of every sample in the
+        # (sorted) block, so only grid points within that window get terms
+        g0 = np.searchsorted(z, conf[lo] - h, side="left")
+        g1 = np.searchsorted(z, conf[hi - 1] + h, side="right")
+        w = kernel.evaluate((z[g0:g1, None] - conf[None, lo:hi]) / h) / h
+        dens[g0:g1] += w.sum(axis=1)
+        acc_num[g0:g1] += w @ correct[lo:hi]
     dens /= n
     acc_num /= n
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -170,14 +178,7 @@ def lp_ce(preds: PredictionSet, p: float, bins: int,
     """Binned L^p calibration error, p in [1, 2]; p=1 coincides with ece."""
     if not 1.0 <= p <= 2.0:
         raise ValueError("p must lie in [1, 2]")
-    _require_probs(preds)
-    conf = preds.top_confidence()
-    part = _partition_for(conf, bins, scheme)
-    stats = bin_stats(conf, preds.correctness(), part)
-    nz = stats.counts > 0
-    gaps = np.abs(stats.mean_accuracy[nz] - stats.mean_confidence[nz])
-    weights = stats.counts[nz] / preds.n_samples
-    return float(np.sum(weights * gaps ** p) ** (1.0 / p))
+    return _binned(preds, bins, scheme, False, 0, p) ** (1.0 / p)
 
 
 def auroc(pos_scores, neg_scores) -> float:

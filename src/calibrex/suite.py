@@ -100,11 +100,6 @@ class SuiteConfig:
                              "confidence sequences")
 
 
-_BIN_FUNCS = {"ece": lambda p, m: binning.ece(p, m),
-              "ece_em": binning.ece_em,
-              "cwce": lambda p, m: binning.cwce(p, m),
-              "cwce_em": binning.cwce_em,
-              "mce": lambda p, m: binning.mce(p, m)}
 _CONT_FUNCS = {"nll": continuous.nll, "brier": continuous.brier,
                "ksce": continuous.ksce, "mmce": continuous.mmce,
                "kdece": continuous.kdece}
@@ -135,10 +130,11 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
 
     records = []
     for stage, probs, tval in stages:
+        binned = binning.binned_metrics(probs, config.bin_metrics,
+                                        config.bin_sizes)
         for metric in config.bin_metrics:
-            fn = _BIN_FUNCS[metric]
             for bins in config.bin_sizes:
-                records.append(rec(metric, bins, stage, fn(probs, bins),
+                records.append(rec(metric, bins, stage, binned[metric, bins],
                                    tval))
         for metric in config.continuous_metrics:
             records.append(rec(metric, None, stage,

@@ -20,6 +20,8 @@ from calibrex import (
     mce,
     reliability_data,
 )
+from calibrex.binning import binned_metrics
+from calibrex.suite import BIN_METRICS, DEFAULT_BIN_SIZES
 
 
 def random_prob_preds(rng, n, k):
@@ -296,3 +298,99 @@ def test_reliability_gap_sign():
     preds = PredictionSet(scores, labels, is_probabilities=True)
     diag = reliability_data(preds, 1)
     assert diag.gap[0] == pytest.approx(1.0 - 0.55, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the shared binning kernel against a per-bin, per-class loop reference
+# ---------------------------------------------------------------------------
+
+def loop_binned_errors(conf, hits, m, scheme):
+    """(weighted gap, max gap) of one score column: per-sample bin index,
+    then per-bin sums by bincount."""
+    edges = np.array(edges_oracle(scheme, conf, m))
+    idx = np.minimum(np.searchsorted(edges, conf, side="right") - 1, m - 1)
+    counts = np.bincount(idx, minlength=m)
+    nz = counts > 0
+    conf_sum = np.bincount(idx, weights=conf, minlength=m)[nz]
+    hit_sum = np.bincount(idx, weights=hits, minlength=m)[nz]
+    gaps = np.abs(hit_sum / counts[nz] - conf_sum / counts[nz])
+    return np.sum(counts[nz] * gaps) / len(conf), np.max(gaps)
+
+
+def loop_reference(preds, m, scheme):
+    """ece, mce and cwce of one bin count and scheme, one class at a time."""
+    top = loop_binned_errors(preds.top_confidence(), preds.correctness(),
+                             m, scheme)
+    per_class = [loop_binned_errors(preds.scores[:, k],
+                                    (preds.labels == k).astype(float),
+                                    m, scheme)[0]
+                 for k in range(preds.n_classes)]
+    return {"ece": top[0], "mce": top[1], "cwce": sum(per_class) / len(per_class)}
+
+
+def kernel_cases():
+    rng = np.random.default_rng(12)
+    # heavy ties: every row is one of four probability vectors
+    vectors = rng.dirichlet(np.ones(5), size=4)
+    tied = vectors[rng.integers(0, 4, size=600)]
+    yield "ties", PredictionSet(tied, rng.integers(0, 5, size=600),
+                                is_probabilities=True)
+    # top confidences exactly on equal-width edges i/m, including 1.0
+    on_edge = rng.choice([0.5, 0.6, 0.75, 0.8, 0.9, 0.96, 0.998, 1.0],
+                         size=400)
+    yield "edges", PredictionSet(np.stack([on_edge, 1.0 - on_edge], axis=1),
+                                 rng.integers(0, 2, size=400),
+                                 is_probabilities=True)
+    # one-hot rows: confidences of exactly 1.0 and columns of exact zeros
+    labels = rng.integers(0, 4, size=300)
+    hot = np.eye(4)[np.where(rng.uniform(size=300) < 0.8, labels,
+                             rng.integers(0, 4, size=300))]
+    yield "one-hot", PredictionSet(hot, labels, is_probabilities=True)
+    # softmax underflow: two classes never get a nonzero probability
+    logits = rng.normal(scale=4.0, size=(500, 6))
+    logits[:, [1, 4]] = -2000.0
+    underflow = as_probabilities(PredictionSet(logits,
+                                               rng.integers(0, 6, size=500)))
+    assert np.all(underflow.scores[:, [1, 4]] == 0.0)
+    yield "underflow", underflow
+    # fewer samples than bins: equal-mass edges repeat and bins stay empty
+    yield "n<m", random_prob_preds(rng, 7, 3)
+    yield "random", random_prob_preds(rng, 900, 10)
+
+
+@pytest.mark.parametrize("name,preds", list(kernel_cases()))
+def test_kernel_matches_loop_reference(name, preds):
+    suite = binned_metrics(preds, BIN_METRICS, DEFAULT_BIN_SIZES)
+    for m in DEFAULT_BIN_SIZES:
+        for scheme in ("width", "mass"):
+            want = loop_reference(preds, m, scheme)
+            got = {"ece": ece(preds, m, scheme), "mce": mce(preds, m, scheme),
+                   "cwce": cwce(preds, m, scheme)}
+            for metric, value in got.items():
+                assert value == pytest.approx(want[metric], rel=1e-10,
+                                              abs=1e-12), (metric, m, scheme)
+        assert suite["ece", m] == ece(preds, m)
+        assert suite["ece_em", m] == ece_em(preds, m)
+        assert suite["mce", m] == mce(preds, m)
+        assert suite["cwce", m] == cwce(preds, m)
+        assert suite["cwce_em", m] == cwce_em(preds, m)
+
+
+def test_binned_metrics_subsets_give_the_same_bits():
+    rng = np.random.default_rng(13)
+    preds = random_prob_preds(rng, 400, 7)
+    full = binned_metrics(preds, BIN_METRICS, DEFAULT_BIN_SIZES)
+    for metric in BIN_METRICS:
+        alone = binned_metrics(preds, (metric,), (DEFAULT_BIN_SIZES[3],))
+        assert alone == {(metric, DEFAULT_BIN_SIZES[3]):
+                         full[metric, DEFAULT_BIN_SIZES[3]]}
+    assert binned_metrics(preds, (), DEFAULT_BIN_SIZES) == {}
+
+
+def test_binned_metrics_reject_out_of_range_confidences():
+    scores = np.array([[1.0 + 1e-10, -1e-10], [0.3, 0.7], [0.5, 0.5]])
+    preds = PredictionSet(scores, [0, 1, 0], is_probabilities=True)
+    for fn in (lambda p: ece(p, 10), lambda p: cwce(p, 10),
+               lambda p: binned_metrics(p, BIN_METRICS, (10,))):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            fn(preds)

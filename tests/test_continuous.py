@@ -221,6 +221,20 @@ def test_mmce_custom_bandwidth():
         assert got == pytest.approx(mmce_oracle(preds, bw), rel=1e-10)
 
 
+def test_mmce_small_bandwidths_match_gram_matrix():
+    # exp(conf / bw) overflows for bw <= 1e-3; the recurrence never does
+    rng = np.random.default_rng(11)
+    preds = random_prob_preds(rng, 300, 3)
+    conf = preds.top_confidence()
+    c = preds.correctness() - conf
+    for bw in (1e-4, 1e-3, 0.4):
+        gram = np.exp(-np.abs(conf[:, None] - conf[None, :]) / bw)
+        want = np.sqrt(max(c @ gram @ c, 0.0)) / len(c)
+        got = mmce(preds, KernelSpec("laplacian", bw))
+        assert np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
 def test_mmce_permutation_invariant_exactly():
     rng = np.random.default_rng(6)
     preds = random_prob_preds(rng, 80, 4)
@@ -284,9 +298,11 @@ def test_kdece_matches_scalar_oracle():
     rng = np.random.default_rng(7)
     for _ in range(6):
         preds = random_prob_preds(rng, int(rng.integers(10, 60)), 3)
-        got = kdece(preds, KernelSpec("triweight", 0.1), grid=101)
         want = kdece_oracle(preds, 0.1, 101)
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+        for block in (2048, 7):
+            got = kdece(preds, KernelSpec("triweight", 0.1), grid=101,
+                        block=block)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_kdece_block_size_is_cosmetic():
