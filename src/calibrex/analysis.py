@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.stats import kendalltau
 
 
 @dataclass
@@ -50,16 +49,121 @@ class MetricTable:
                            {k: v[idx] for k, v in self.columns.items()})
 
 
+# Rows are padded to a power of two; the first merge level counts
+# inversions inside blocks of this size by direct comparison.
+_BLOCK = 16
+
+
+def _key_dtype(n: int):
+    """Smallest integer type holding the merge keys ``2 * n + 1``."""
+    top = 2 * n + 1
+    return np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64
+
+
+def _tied_pairs(srt: np.ndarray) -> int:
+    """Number of pairs of equal entries in a sorted 1-D array."""
+    starts = np.flatnonzero(np.r_[True, srt[1:] != srt[:-1]])
+    runs = np.diff(np.append(starts, srt.size))
+    return int((runs * (runs - 1) // 2).sum())
+
+
+def _dense_ranks(columns: Sequence[np.ndarray], n: int):
+    """0-based dense ranks of each column (one row each), and tied pairs."""
+    ranks = np.empty((len(columns), n), dtype=_key_dtype(n))
+    ties = np.empty(len(columns), dtype=np.int64)
+    for c, v in enumerate(columns):
+        order = np.argsort(v, kind="stable")
+        srt = v[order]
+        ranks[c, order] = np.cumsum(np.r_[False, srt[1:] != srt[:-1]])
+        ties[c] = _tied_pairs(srt)
+    return ranks, ties
+
+
+def _discordant(seq: np.ndarray, pad: int) -> np.ndarray:
+    """Pairs a < b with seq[a] > seq[b] in each row of ``seq``.
+
+    Bottom-up merge count (Knight 1966) vectorised over rows and blocks.
+    Values lie in [0, pad); rows are padded with ``pad`` to a power of two.
+    At merge width w every 2w-block is sorted on the key
+    ``value << 1 | is_right_half``, so a left value equal to a right one
+    sorts first (a tie is not discordant), and the left values greater than
+    the right ones total w*w + w*(w-1)/2 minus the summed merged positions
+    of the right half.
+    """
+    m, n = seq.shape
+    size = max(_BLOCK, 1 << (n - 1).bit_length())
+    keys = np.full((m, size), pad, dtype=_key_dtype(pad))
+    keys[:, :n] = seq
+    # inside blocks of _BLOCK, offset-major so each comparison is a long row
+    cols = keys.reshape(-1, _BLOCK).T.copy()
+    count = np.zeros(cols.shape, dtype=np.uint8)
+    for d in range(1, _BLOCK):
+        count[d:] += cols[:-d] > cols[d:]
+    dis = count.reshape(_BLOCK, m, -1).sum(axis=(0, 2), dtype=np.int64)
+    keys <<= 1
+    w = _BLOCK
+    while w < size:
+        blocks = keys.reshape(m, -1, 2 * w)
+        blocks[..., :w] &= ~1
+        blocks[..., w:] |= 1
+        blocks.sort(axis=-1)
+        right = np.einsum("ijk,k->i", blocks & 1,
+                          np.arange(2 * w, dtype=keys.dtype), dtype=np.int64)
+        dis += blocks.shape[1] * (w * w + w * (w - 1) // 2) - right
+        w *= 2
+    return dis
+
+
+def _tau_b(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Kendall tau-b between every pair of k float columns of length n.
+
+    Each column is dense-ranked once; for each column i the later columns
+    are put in the order of column i and their discordant pairs counted
+    together.  When column i has ties, each pair is ordered by
+    (rank_i, rank_j) so that pairs tied in i are not counted as discordant.
+    Entry (i, j), i < j, follows scipy's tau-b arithmetic with x = column i
+    exactly; a constant column or one holding NaN gives NaN.
+    """
+    k = len(columns)
+    out = np.eye(k)
+    ranks, ties = _dense_ranks(columns, n)
+    tot = n * (n - 1) // 2
+    degenerate = (ties == tot) | np.array([np.isnan(v).any()
+                                           for v in columns], dtype=bool)
+    # rows j per batch: bounds the (batch, n) int64 work arrays to 4 MiB
+    batch = max(1, 2**19 // max(n, 1))
+    for i in range(k - 1):
+        if not ties[i]:
+            order = np.empty(n, dtype=np.intp)
+            order[ranks[i]] = np.arange(n)
+        for lo in range(i + 1, k, batch):
+            hi = min(k, lo + batch)
+            if ties[i]:
+                seq = ranks[lo:hi].astype(np.int64)
+                seq += ranks[i].astype(np.int64) * n
+                seq.sort(axis=1)
+                joint = np.array([_tied_pairs(row) if t else 0
+                                  for row, t in zip(seq, ties[lo:hi])])
+                seq %= n
+            else:
+                seq, joint = ranks[lo:hi, order], 0
+            dis = _discordant(seq, n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = (tot - ties[i] - ties[lo:hi] + joint - 2 * dis) \
+                    / np.sqrt(tot - ties[i]) / np.sqrt(tot - ties[lo:hi])
+            tau = np.clip(tau, -1.0, 1.0)
+            tau[degenerate[i] | degenerate[lo:hi]] = np.nan
+            out[i, lo:hi] = out[lo:hi, i] = tau
+    return out
+
+
 def kendall_tau(x, y) -> float:
     """Kendall tau-b rank correlation; NaN when either side is degenerate."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("inputs must be 1-D arrays of equal length")
-    if x.size < 2 or np.all(x == x[0]) or np.all(y == y[0]):
-        return float("nan")
-    tau, _ = kendalltau(x, y, variant="b")
-    return float(tau)
+    return float(_tau_b([x, y], x.size)[0, 1])
 
 
 def correlation_matrix(table: MetricTable,
@@ -70,15 +174,8 @@ def correlation_matrix(table: MetricTable,
     """
     names = list(column_names) if column_names is not None \
         else sorted(table.columns)
-    for name in names:
-        table.column(name)
-    k = len(names)
-    mat = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            t = kendall_tau(table.column(names[i]), table.column(names[j]))
-            mat[i, j] = mat[j, i] = t
-    return names, mat
+    columns = [table.column(name) for name in names]
+    return names, _tau_b(columns, table.n_rows)
 
 
 def top_k_by(table: MetricTable, column: str, k: int,

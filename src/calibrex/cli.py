@@ -7,13 +7,11 @@ rename, and exits 2 with a one-line "error: ..." message on failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import multiprocessing
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,20 +26,6 @@ def _resolve_seed(value) -> int:
     if value is not None:
         return value
     return int(os.environ.get("CALIBREX_SEED", "0"))
-
-
-@contextlib.contextmanager
-def _atomic_out(path: str):
-    """Yield a temp path; rename onto the target only on success."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _read_predictions(path: str, fmt: str):
@@ -102,8 +86,7 @@ def cmd_eval(args) -> int:
     else:
         per_file = [_eval_one(t) for t in tasks]
     records = [r for batch in per_file for r in batch]
-    with _atomic_out(args.out) as tmp:
-        suite.write_records(records, tmp)
+    suite.write_records(records, args.out)
     print(f"{len(records)} records written")
     return 0
 
@@ -140,7 +123,7 @@ def cmd_correlate(args) -> int:
         table = analysis.top_k_by(table, args.by, args.top_k)
     columns = args.columns.split(",") if args.columns else None
     names, mat = analysis.correlation_matrix(table, columns)
-    with _atomic_out(args.out) as tmp:
+    with suite.atomic_output(args.out) as tmp:
         analysis.write_matrix_csv(names, mat, tmp)
     print(f"{len(names)}x{len(names)} correlation matrix written")
     return 0
@@ -162,7 +145,7 @@ def cmd_search(args) -> int:
     algo = {"rs": search.random_search, "re": search.regularized_evolution,
             "ls": search.local_search}[args.algo]
     result = algo(bench, objective, config)
-    with _atomic_out(args.out) as tmp:
+    with suite.atomic_output(args.out) as tmp:
         with open(tmp, "w") as fh:
             json.dump(result.to_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -179,20 +162,15 @@ def cmd_enumerate(args) -> int:
         archs = archspace.enumerate_sss()
     lines = []
     if args.dedupe and args.space == "tss":
-        if args.jobs > 1:
-            with multiprocessing.Pool(args.jobs) as pool:
-                fps = pool.map(archspace.canonical_fingerprint, archs,
-                               chunksize=512)
-        else:
-            fps = [archspace.canonical_fingerprint(a) for a in archs]
         seen = set()
-        for a, fp in zip(archs, fps):
+        for a in archs:
+            fp = archspace.canonical_fingerprint(a)
             if fp not in seen:
                 seen.add(fp)
                 lines.append(a.to_string())
     else:
         lines = [a.to_string() for a in archs]
-    with _atomic_out(args.out) as tmp:
+    with suite.atomic_output(args.out) as tmp:
         with open(tmp, "w") as fh:
             for line in lines:
                 fh.write(line + "\n")
@@ -239,7 +217,7 @@ def cmd_report(args) -> int:
             groups.setdefault(labels[bracket], []).append(r.value)
         order = [lab for lab in labels if lab in groups]
     scale = 100.0 if args.percent else 1.0
-    with _atomic_out(args.out) as tmp:
+    with suite.atomic_output(args.out) as tmp:
         with open(tmp, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["group", "n", "median", "q1", "q3", "whisker_lo",
@@ -311,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=("tss", "sss"), default="tss")
     p.add_argument("--dedupe", action="store_true",
                    help="one representative per fingerprint class")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enumerate)
 

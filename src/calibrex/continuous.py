@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .binning import _binned, _require_probs
 from .predictions import PredictionSet
@@ -181,6 +180,18 @@ def lp_ce(preds: PredictionSet, p: float, bins: int,
     return _binned(preds, bins, scheme, False, 0, p) ** (1.0 / p)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their positions."""
+    order = np.argsort(values, kind="stable")
+    srt = values[order]
+    new = np.r_[True, srt[1:] != srt[:-1]]
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], srt.size)
+    ranks = np.empty(srt.size)
+    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(new) - 1]
+    return ranks
+
+
 def auroc(pos_scores, neg_scores) -> float:
     """Probability a positive score outranks a negative one (ties count 0.5).
 
@@ -193,6 +204,6 @@ def auroc(pos_scores, neg_scores) -> float:
         raise ValueError("both score sets must be non-empty")
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
         raise ValueError("scores must be finite")
-    ranks = rankdata(np.concatenate([pos, neg]))
+    ranks = _average_ranks(np.concatenate([pos, neg]))
     u = ranks[:pos.size].sum() - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))

@@ -7,6 +7,7 @@ stages (10), and, when out-of-distribution confidence sets are supplied,
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -154,21 +155,34 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
     return records
 
 
-def write_records(records: Sequence[MeasurementRecord], path) -> None:
-    """Write records as JSONL, atomically (write temp file, then rename)."""
+@contextlib.contextmanager
+def atomic_output(path):
+    """Yield a temp path beside ``path``; rename it onto ``path`` on success.
+
+    The file gets the mode a plain ``open(path, "w")`` would give
+    (0o666 less the umask), not the 0o600 of ``mkstemp``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            for r in records:
-                fh.write(json.dumps(r.to_dict(), sort_keys=True,
-                                    separators=(",", ":")))
-                fh.write("\n")
+        yield tmp
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def write_records(records: Sequence[MeasurementRecord], path) -> None:
+    """Write records as JSONL, atomically (write temp file, then rename)."""
+    with atomic_output(path) as tmp, open(tmp, "w") as fh:
+        for r in records:
+            fh.write(json.dumps(r.to_dict(), sort_keys=True,
+                                separators=(",", ":")))
+            fh.write("\n")
 
 
 def read_records(path) -> List[MeasurementRecord]:

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .predictions import PredictionSet, softmax
 
@@ -36,9 +35,22 @@ def _as_logits(preds: PredictionSet) -> np.ndarray:
     return preds.scores
 
 
+def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp, with the arithmetic of scipy's ``logsumexp``.
+
+    The row maxima are left out of the shifted sum and enter as the log of
+    their count: ``log1p(sum / count) + log(count) + max``.
+    """
+    zmax = z.max(axis=1, keepdims=True)
+    at_max = z == zmax
+    count = at_max.sum(axis=1, keepdims=True, dtype=z.dtype)
+    s = np.exp(np.where(at_max, -np.inf, z) - zmax).sum(axis=1, keepdims=True)
+    return (np.log1p(s / count) + np.log(count) + zmax)[:, 0]
+
+
 def _nll_at(logits: np.ndarray, labels: np.ndarray, t: float) -> float:
     z = logits / t
-    lse = logsumexp(z, axis=1)
+    lse = _logsumexp_rows(z)
     return float(np.mean(lse - z[np.arange(z.shape[0]), labels]))
 
 

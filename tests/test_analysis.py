@@ -82,6 +82,92 @@ def test_kendall_tau_validates_shapes():
 
 
 # ---------------------------------------------------------------------------
+# the sort-based tau-b kernel against scipy, bit for bit
+# ---------------------------------------------------------------------------
+
+KERNEL_SIZES = [2, 3, 15, 16, 17, 1_000, 16_383, 16_384, 16_385, 20_000]
+
+
+def scipy_tau_b(x, y):
+    stats = pytest.importorskip("scipy.stats")
+    return float(stats.kendalltau(x, y, variant="b").statistic)
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_kendall_tau_equals_scipy_without_ties(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    y = 0.5 * x + rng.normal(size=n)
+    assert kendall_tau(x, y) == scipy_tau_b(x, y)
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_kendall_tau_equals_scipy_with_ties(n):
+    rng = np.random.default_rng(n + 1)
+    x = rng.normal(size=n)
+    y = 0.5 * x + rng.normal(size=n)
+    few = max(2, n // 50)
+    x_tied = np.floor(x * few / 4)
+    y_tied = np.floor(y * few / 4)
+    for a, b in ((x_tied, y), (x, y_tied), (x_tied, y_tied)):
+        if np.all(a == a[0]) or np.all(b == b[0]):
+            continue
+        assert kendall_tau(a, b) == scipy_tau_b(a, b)
+    # two-valued columns: nearly every pair is tied in one of them
+    a = rng.integers(0, 2, size=n).astype(float)
+    b = np.where(rng.random(n) < 0.8, a, 1.0 - a)
+    if not (np.all(a == a[0]) or np.all(b == b[0])):
+        assert kendall_tau(a, b) == scipy_tau_b(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 17, 16_384, 20_000])
+def test_kendall_tau_identical_reversed_and_constant(n):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=n)
+    tied = np.round(x * 3)
+    for v in (x, tied):
+        if np.all(v == v[0]):
+            continue
+        assert kendall_tau(v, v) == scipy_tau_b(v, v)
+        assert kendall_tau(v, v) == pytest.approx(1.0, abs=1e-15)
+        assert kendall_tau(v, -v) == scipy_tau_b(v, -v)
+        assert kendall_tau(v, -v) == pytest.approx(-1.0, abs=1e-15)
+        assert kendall_tau(v, v[::-1]) == scipy_tau_b(v, v[::-1])
+    assert math.isnan(kendall_tau(np.full(n, 2.5), x))
+    assert math.isnan(kendall_tau(x, np.zeros(n)))
+
+
+def test_kendall_tau_nan_input_gives_nan():
+    x = np.array([1.0, 2.0, np.nan, 4.0])
+    assert math.isnan(kendall_tau(x, np.arange(4.0)))
+    assert math.isnan(kendall_tau(np.arange(4.0), x))
+
+
+def test_correlation_matrix_entries_equal_pairwise_kendall_tau():
+    rng = np.random.default_rng(4)
+    n = 3_000
+    base = rng.normal(size=n)
+    cols = {"smooth": base,
+            "noisy": base + rng.normal(size=n),
+            "tied": np.round(base * 2),
+            "coarse": np.round(base + rng.normal(size=n)),
+            "binary": (base > 0.3).astype(float),
+            "flat": np.ones(n),
+            "anti": -base}
+    t = MetricTable(np.arange(n), cols)
+    names, mat = correlation_matrix(t)
+    assert np.all(np.diag(mat) == 1.0)
+    assert np.array_equal(mat, mat.T, equal_nan=True)
+    # entry (i, j), i < j, is kendall_tau(column i, column j): x is the
+    # column earlier in the name order, as in scipy's argument order
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            ref = kendall_tau(t.column(a), t.column(b))
+            got = mat[i, names.index(b)]
+            assert (math.isnan(got) and math.isnan(ref)) or got == ref, (a, b)
+
+
+# ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
 

@@ -1,10 +1,15 @@
 """End-to-end tests for the calibrex command-line interface."""
 import csv
 import json
+import os
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import calibrex
 from calibrex import (
     MeasurementRecord,
     PredictionSet,
@@ -358,16 +363,6 @@ def test_enumerate_tss_dedupe(tmp_path, capsys):
     assert 0 < len(lines) < 15625
 
 
-def test_enumerate_dedupe_jobs_match_serial(tmp_path):
-    serial = str(tmp_path / "serial.txt")
-    parallel = str(tmp_path / "parallel.txt")
-    assert main(["enumerate", "--space", "tss", "--dedupe",
-                 "--out", serial]) == 0
-    assert main(["enumerate", "--space", "tss", "--dedupe", "--jobs", "2",
-                 "--out", parallel]) == 0
-    assert open(serial, "rb").read() == open(parallel, "rb").read()
-
-
 def test_enumerate_sss_dedupe_is_identity(tmp_path, capsys):
     out = str(tmp_path / "sss.txt")
     rc = main(["enumerate", "--space", "sss", "--dedupe", "--out", out])
@@ -468,3 +463,41 @@ def test_report_rerun_is_byte_identical(tmp_path):
     for out in (a, b):
         assert main(["report", "--records", records, "--out", out]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# ---------------------------------------------------------------------------
+# process-level behaviour
+# ---------------------------------------------------------------------------
+
+def test_cli_start_does_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(calibrex.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, calibrex, calibrex.cli\n"
+            "calibrex.cli.build_parser()\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_outputs_get_the_umask_mode(tmp_path, logits_file):
+    old = os.umask(0o022)
+    try:
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w"):
+            pass
+        records = tmp_path / "records.jsonl"
+        cells = tmp_path / "cells.txt"
+        assert main(["eval", "--logits", logits_file,
+                     "--out", str(records)]) == 0
+        assert main(["enumerate", "--space", "tss",
+                     "--out", str(cells)]) == 0
+    finally:
+        os.umask(old)
+    expected = stat.S_IMODE(plain.stat().st_mode)
+    assert expected == 0o644
+    assert stat.S_IMODE(records.stat().st_mode) == expected
+    assert stat.S_IMODE(cells.stat().st_mode) == expected

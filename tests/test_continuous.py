@@ -385,6 +385,14 @@ def test_auroc_matches_pair_count_oracle():
                                                 rel=1e-12, abs=1e-15)
 
 
+def test_auroc_heavy_ties_match_pair_count_oracle():
+    rng = np.random.default_rng(14)
+    pos = rng.integers(0, 12, size=2_000).astype(float) / 11.0
+    neg = rng.integers(0, 9, size=3_000).astype(float) / 11.0
+    assert auroc(pos, neg) == pytest.approx(
+        auroc_oracle(pos.tolist(), neg.tolist()), rel=1e-12, abs=1e-15)
+
+
 def test_auroc_handles_ties():
     pos = [0.5, 0.5, 0.9]
     neg = [0.5, 0.1]

@@ -10,7 +10,7 @@ from calibrex import (
     nll,
     softmax,
 )
-from calibrex.temperature import T_MAX, T_MIN
+from calibrex.temperature import T_MAX, T_MIN, _logsumexp_rows, _nll_at
 
 
 def nll_reference(logits, labels, t):
@@ -26,6 +26,25 @@ def grid_minimizer(logits, labels, points=6001):
     ts = np.exp(np.linspace(np.log(T_MIN), np.log(T_MAX), points))
     vals = [nll_reference(logits, labels, t) for t in ts]
     return float(ts[int(np.argmin(vals))])
+
+
+def test_logsumexp_and_nll_match_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(7)
+    z = rng.normal(scale=4.0, size=(400, 12))
+    tied = np.round(z)                      # ties, also at the row maximum
+    one_hot = np.eye(12)[rng.integers(0, 12, 400)] * 25.0
+    flat = np.zeros((5, 3))
+    labels = rng.integers(0, 12, 400)
+    for logits in (z, tied, one_hot, z * 1e3):
+        for t in (T_MIN, 0.3, 1.0, 7.0, T_MAX):
+            scaled = logits / t
+            ref = special.logsumexp(scaled, axis=1)
+            assert np.array_equal(_logsumexp_rows(scaled), ref)
+            assert _nll_at(logits, labels, t) == float(np.mean(
+                ref - scaled[np.arange(400), labels]))
+    assert np.array_equal(_logsumexp_rows(flat),
+                          special.logsumexp(flat, axis=1))
 
 
 def planted_preds(c, repeat=1):
