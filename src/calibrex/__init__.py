@@ -1,17 +1,16 @@
 """calibrex: calibration measurement and architecture search toolkit."""
 
-from .analysis import (BoxplotStats, HcsParams, MetricTable, boxplot_stats,
-                       correlation_matrix, edge_preference, hcs, kendall_tau,
-                       size_brackets, top_k_by, write_matrix_csv,
-                       write_table_csv)
+from .analysis import (BoxplotStats, MetricTable, boxplot_stats,
+                       correlation_matrix, hcs, kendall_tau, size_brackets,
+                       top_k_by, write_matrix_csv, write_table_csv)
 from .archspace import (SssArch, TssArch, canonical_fingerprint,
                         enumerate_sss, enumerate_tss, model_size, parse_arch,
                         parse_sss, parse_tss)
 from .binning import (BinPartition, BinStats, ReliabilityDiagram,
                       assign_bins, bin_stats, cwce, cwce_em, ece, ece_em,
                       equal_mass_edges, mce, reliability_data)
-from .continuous import (KernelSpec, auroc, brier, kdece, ksce, lp_ce, mmce,
-                         nll, silverman_bandwidth)
+from .continuous import (auroc, brier, kdece, ksce, lp_ce, mmce, nll,
+                         silverman_bandwidth)
 from .predictions import (LogitsFileError, PredictionSet, SplitSpec,
                           as_probabilities, read_csv_predictions,
                           read_logits_file, softmax, split,
@@ -21,8 +20,8 @@ from .search import (Objective, SearchConfig, SearchResult, TabularBenchmark,
                      neighbors, random_search, regularized_evolution,
                      synth_benchmark, write_benchmark)
 from .suite import (DEFAULT_BIN_SIZES, MeasurementRecord, SuiteConfig,
-                    metric_key, read_records, records_to_nested, run_suite,
-                    table_from_records, write_records)
+                    metric_key, read_records, run_suite, table_from_records,
+                    write_records)
 from .temperature import Temperature, apply_temperature, fit_temperature
 
 __version__ = "0.1.0"

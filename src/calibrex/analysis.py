@@ -189,17 +189,6 @@ def top_k_by(table: MetricTable, column: str, k: int,
     return table.select(order[:min(k, table.n_rows)])
 
 
-@dataclass(frozen=True)
-class HcsParams:
-    """Weight of the accuracy/calibration harmonic mean (beta > 0)."""
-
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-
-
 def hcs(accuracy, ece, beta: float = 1.0):
     """Harmonic calibration score blending accuracy and 1 - ECE.
 
@@ -257,23 +246,6 @@ def size_brackets(sizes, edges: Sequence[float]) -> np.ndarray:
         raise ValueError("edges must be strictly increasing and non-empty")
     return np.searchsorted(e, np.asarray(sizes, dtype=np.float64),
                            side="right")
-
-
-def edge_preference(archs) -> np.ndarray:
-    """Count operation choices per cell edge over a set of TSS archs.
-
-    Returns a (6, 5) count matrix indexed by (edge position, op index in
-    the canonical op order).
-    """
-    from .archspace import TSS_OPS, TssArch
-    counts = np.zeros((6, len(TSS_OPS)), dtype=np.int64)
-    op_idx = {op: i for i, op in enumerate(TSS_OPS)}
-    for a in archs:
-        if not isinstance(a, TssArch):
-            raise TypeError("edge_preference expects TssArch values")
-        for e, op in enumerate(a.ops):
-            counts[e, op_idx[op]] += 1
-    return counts
 
 
 def write_table_csv(table: MetricTable, path) -> None:

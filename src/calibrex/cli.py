@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,21 +96,27 @@ def _read_table_csv(path: str) -> analysis.MetricTable:
     if not os.path.exists(path):
         raise OSError(f"no such file: {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty table") from None
+        header = next(csv.reader(fh), None)
         if not header or header[0] != "arch_index":
             raise ValueError(f"{path}: first column must be arch_index")
         names = header[1:]
-        rows = list(reader)
-    if not rows:
+        # one field per header cell: a short or long row, a non-integer
+        # arch_index or a non-numeric cell raises ValueError
+        dtype = [("arch_index", np.int64)] + [(f"c{i}", np.float64)
+                                             for i in range(len(names))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: below
+            try:
+                data = np.loadtxt(fh, dtype=dtype, delimiter=",",
+                                  comments=None, ndmin=1)
+            except ValueError as exc:  # drop numpy's `usecols` hint
+                msg = str(exc).partition("; use")[0]
+                raise ValueError(f"{path}: {msg}") from None
+    if data.size == 0:
         raise ValueError(f"{path}: no data rows")
-    arch = np.array([int(r[0]) for r in rows])
-    cols = {name: np.array([float(r[i + 1]) for r in rows])
-            for i, name in enumerate(names)}
-    return analysis.MetricTable(arch, cols)
+    return analysis.MetricTable(data["arch_index"],
+                                {name: data[f"c{i}"]
+                                 for i, name in enumerate(names)})
 
 
 def cmd_correlate(args) -> int:
@@ -297,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True, metavar="PATH")
     p.add_argument("--group-by", choices=("bin_count", "size_bracket"),
                    default="bin_count")
-    p.add_argument("--stat", choices=("boxplot",), default="boxplot")
     p.add_argument("--brackets",
                    help="comma-separated size edges for size_bracket")
     p.add_argument("--percent", action="store_true")

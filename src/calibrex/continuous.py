@@ -7,7 +7,6 @@ floating-point accumulation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -16,32 +15,6 @@ from .binning import _binned, _require_probs
 from .predictions import PredictionSet
 
 PROB_FLOOR = 1e-12
-
-KERNEL_FAMILIES = ("laplacian", "triweight")
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A kernel family plus bandwidth (None = data-driven rule)."""
-
-    family: str = "laplacian"
-    bandwidth: Optional[float] = None
-
-    def __post_init__(self):
-        if self.family not in KERNEL_FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
-
-    def evaluate(self, u) -> np.ndarray:
-        """Unit-bandwidth kernel value at u (bandwidth applied by callers)."""
-        u = np.asarray(u, dtype=np.float64)
-        if self.family == "laplacian":
-            return np.exp(-np.abs(u))
-        # triweight: compactly supported on [-1, 1]
-        out = np.clip(1.0 - u * u, 0.0, None)
-        return (35.0 / 32.0) * out ** 3
-
 
 def nll(preds: PredictionSet) -> float:
     """Mean negative log-likelihood; probabilities floored at 1e-12."""
@@ -83,7 +56,7 @@ def ksce(preds: PredictionSet) -> float:
 MMCE_BANDWIDTH = 0.4
 
 
-def mmce(preds: PredictionSet, kernel: Optional[KernelSpec] = None) -> float:
+def mmce(preds: PredictionSet, bandwidth: float = MMCE_BANDWIDTH) -> float:
     """Maximum mean calibration error with a Laplacian kernel.
 
     sqrt(c^T K c) / N where c_i = correct_i - conf_i and
@@ -95,15 +68,12 @@ def mmce(preds: PredictionSet, kernel: Optional[KernelSpec] = None) -> float:
     the form is clamped at 0 before the root.
     """
     _require_probs(preds)
-    if kernel is None:
-        kernel = KernelSpec("laplacian", MMCE_BANDWIDTH)
-    if kernel.family != "laplacian":
-        raise ValueError("mmce requires a laplacian kernel")
-    bw = kernel.bandwidth if kernel.bandwidth is not None else MMCE_BANDWIDTH
+    if not bandwidth > 0:
+        raise ValueError("bandwidth must be positive")
     conf, correct = _canonical_order(preds.top_confidence(),
                                      preds.correctness().astype(np.float64))
     c = correct - conf
-    decay = np.exp(-np.diff(conf) / bw).tolist()
+    decay = np.exp(-np.diff(conf) / bandwidth).tolist()
     s = 0.0
     cross = 0.0
     for d, prev, cur in zip(decay, c[:-1].tolist(), c[1:].tolist()):
@@ -131,7 +101,7 @@ def silverman_bandwidth(values) -> float:
     return float(np.clip(0.9 * spread * n ** (-0.2), KDE_BW_MIN, KDE_BW_MAX))
 
 
-def kdece(preds: PredictionSet, kernel: Optional[KernelSpec] = None,
+def kdece(preds: PredictionSet, bandwidth: Optional[float] = None,
           grid: int = 1024, block: int = 2048) -> float:
     """Kernel-density estimate of calibration error.
 
@@ -139,18 +109,16 @@ def kdece(preds: PredictionSet, kernel: Optional[KernelSpec] = None,
     triweight kernel on a uniform grid over [0, 1], then integrates
     |z - acc(z)| * density(z) by the trapezoid rule.  The density is left
     unnormalized; mass truncated at the boundaries is simply not counted.
+    A bandwidth of None picks one by ``silverman_bandwidth``.
     """
     _require_probs(preds)
-    if kernel is None:
-        kernel = KernelSpec("triweight", None)
-    if kernel.family != "triweight":
-        raise ValueError("kdece requires a triweight kernel")
+    if bandwidth is not None and not bandwidth > 0:
+        raise ValueError("bandwidth must be positive")
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     conf, correct = _canonical_order(preds.top_confidence(),
                                      preds.correctness().astype(np.float64))
-    h = kernel.bandwidth if kernel.bandwidth is not None \
-        else silverman_bandwidth(conf)
+    h = bandwidth if bandwidth is not None else silverman_bandwidth(conf)
     z = np.linspace(0.0, 1.0, grid)
     dens = np.zeros(grid)
     acc_num = np.zeros(grid)
@@ -161,7 +129,9 @@ def kdece(preds: PredictionSet, kernel: Optional[KernelSpec] = None,
         # (sorted) block, so only grid points within that window get terms
         g0 = np.searchsorted(z, conf[lo] - h, side="left")
         g1 = np.searchsorted(z, conf[hi - 1] + h, side="right")
-        w = kernel.evaluate((z[g0:g1, None] - conf[None, lo:hi]) / h) / h
+        # triweight (35/32)(1 - u^2)^3 on [-1, 1], scaled by 1/h
+        u = (z[g0:g1, None] - conf[None, lo:hi]) / h
+        w = (35.0 / 32.0) * np.clip(1.0 - u * u, 0.0, None) ** 3 / h
         dens[g0:g1] += w.sum(axis=1)
         acc_num[g0:g1] += w @ correct[lo:hi]
     dens /= n

@@ -19,7 +19,8 @@ import numpy as np
 from .analysis import hcs
 from .archspace import (SSS_CHANNELS, TSS_OPS, SssArch, TssArch,
                         enumerate_sss, enumerate_tss, parse_arch)
-from .suite import MeasurementRecord, read_records, write_records
+from .suite import (MeasurementRecord, atomic_output, read_records,
+                    write_records)
 
 OBJECTIVES = ("acc", "ece", "hcs")
 
@@ -138,7 +139,7 @@ def write_benchmark(bench: TabularBenchmark, records_path: str,
                                          "ece", ece_bins, "pre", "test",
                                          m["ece"]))
     write_records(records, records_path)
-    with open(index_path, "w") as fh:
+    with atomic_output(index_path) as tmp, open(tmp, "w") as fh:
         json.dump(index, fh, sort_keys=True)
 
 

@@ -117,7 +117,8 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
     if config is None:
         config = SuiteConfig()
     fit_part, test_part = split(preds, config.split)
-    stages = [("pre", as_probabilities(test_part), None)]
+    pre = as_probabilities(test_part)
+    stages = [("pre", pre, None)]
     if config.temperature_scale:
         temp = fit_temperature(fit_part)
         stages.append(("post", apply_temperature(test_part, temp),
@@ -144,7 +145,7 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
             records.append(rec("accuracy", None, stage, probs.accuracy(),
                                tval))
     if config.ood_inputs is not None:
-        pos = as_probabilities(test_part).top_confidence()
+        pos = pre.top_confidence()
         for tag, ood in zip(("a", "b"), config.ood_inputs):
             neg = np.asarray(ood, dtype=np.float64)
             if neg.ndim != 1 or neg.size == 0:
@@ -204,16 +205,6 @@ def metric_key(record: MeasurementRecord) -> str:
     """Flat column name: metric[_bins]_stage, e.g. ece_15_pre, nll_post."""
     mid = f"_{record.bin_count}" if record.bin_count is not None else ""
     return f"{record.metric}{mid}_{record.stage}"
-
-
-def records_to_nested(records: Sequence[MeasurementRecord]) -> Dict:
-    """Nested lookup dataset -> metric key -> "CE" -> arch_index -> value."""
-    nested: Dict = {}
-    for r in records:
-        nested.setdefault(r.benchmark_dataset, {}) \
-              .setdefault(metric_key(r), {}) \
-              .setdefault("CE", {})[r.arch_index] = r.value
-    return nested
 
 
 def table_from_records(records: Sequence[MeasurementRecord],

@@ -42,9 +42,9 @@ def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
     their count: ``log1p(sum / count) + log(count) + max``.
     """
     zmax = z.max(axis=1, keepdims=True)
-    at_max = z == zmax
-    count = at_max.sum(axis=1, keepdims=True, dtype=z.dtype)
-    s = np.exp(np.where(at_max, -np.inf, z) - zmax).sum(axis=1, keepdims=True)
+    is_max = z == zmax
+    count = is_max.sum(axis=1, keepdims=True, dtype=z.dtype)
+    s = np.exp(np.where(is_max, -np.inf, z) - zmax).sum(axis=1, keepdims=True)
     return (np.log1p(s / count) + np.log(count) + zmax)[:, 0]
 
 
@@ -54,27 +54,24 @@ def _nll_at(logits: np.ndarray, labels: np.ndarray, t: float) -> float:
     return float(np.mean(lse - z[np.arange(z.shape[0]), labels]))
 
 
-def fit_temperature(preds: PredictionSet, t_min: float = T_MIN,
-                    t_max: float = T_MAX, tol: float = T_TOL) -> Temperature:
+def fit_temperature(preds: PredictionSet) -> Temperature:
     """Golden-section search for the NLL-minimizing temperature.
 
-    The search runs over log T in [t_min, t_max] until the bracket is
-    narrower than tol in temperature units.  If the optimum does not
+    The search runs over log T in [T_MIN, T_MAX] until the bracket is
+    narrower than T_TOL in temperature units.  If the optimum does not
     strictly improve on T=1, the identity temperature is returned.
     """
-    if not (0.0 < t_min < t_max):
-        raise ValueError("need 0 < t_min < t_max")
     logits = _as_logits(preds)
     labels = preds.labels
 
     def f(u: float) -> float:
         return _nll_at(logits, labels, math.exp(u))
 
-    lo, hi = math.log(t_min), math.log(t_max)
+    lo, hi = math.log(T_MIN), math.log(T_MAX)
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while math.exp(hi) - math.exp(lo) > tol:
+    while math.exp(hi) - math.exp(lo) > T_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)

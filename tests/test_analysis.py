@@ -8,12 +8,9 @@ import pytest
 
 from calibrex import (
     BoxplotStats,
-    HcsParams,
     MetricTable,
-    TssArch,
     boxplot_stats,
     correlation_matrix,
-    edge_preference,
     hcs,
     kendall_tau,
     size_brackets,
@@ -285,9 +282,6 @@ def test_hcs_degenerate_and_validation():
         hcs(0.9, -0.1)
     with pytest.raises(ValueError, match="beta"):
         hcs(0.9, 0.1, beta=0.0)
-    with pytest.raises(ValueError, match="beta"):
-        HcsParams(beta=-1.0)
-    assert HcsParams().beta == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +315,6 @@ def test_size_brackets():
         size_brackets([1], [32.0, 16.0])
     with pytest.raises(ValueError, match="non-empty"):
         size_brackets([1], [])
-
-
-def test_edge_preference_counts():
-    archs = [TssArch(("none",) * 6),
-             TssArch(("skip_connect",) + ("none",) * 5)]
-    counts = edge_preference(archs)
-    assert counts.shape == (6, 5)
-    assert counts.sum() == 12
-    assert counts[0, 0] == 1  # "none" on edge 0 once
-    assert counts[0, 1] == 1  # "skip_connect" on edge 0 once
-    assert counts[1:, 0].tolist() == [2] * 5
-    with pytest.raises(TypeError, match="TssArch"):
-        edge_preference(["|none~0|"])
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,26 @@ def test_correlate_rejects_malformed_table(tmp_path, capsys):
     assert "arch_index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, where", [
+    ("0,0.5,1\n1,0.25\n", "2 were found"),          # short row
+    ("0,0.5,1\n1,0.25,2,3\n", "4 were found"),      # extra cell
+    ("0,0.5,1\n1,0.25,abc\n", "'abc'"),             # non-numeric cell
+    ("0,0.5,1\n1.0,0.25,2\n", "'1.0' to int64"),    # non-integer index
+    ("", "no data rows"),
+], ids=["short-row", "extra-cell", "non-numeric", "float-index", "no-rows"])
+def test_correlate_bad_table_exits_2_with_one_line(tmp_path, capsys, body,
+                                                   where):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("arch_index,a,b\n" + body)
+    rc = main(["correlate", "--table", str(bad),
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
+    assert where in err
+    assert not (tmp_path / "m.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from calibrex import (
-    KernelSpec,
     PredictionSet,
     auroc,
     brier,
@@ -217,7 +216,7 @@ def test_mmce_custom_bandwidth():
     rng = np.random.default_rng(5)
     preds = random_prob_preds(rng, 40, 3)
     for bw in (0.1, 0.4, 1.0):
-        got = mmce(preds, KernelSpec("laplacian", bw))
+        got = mmce(preds, bw)
         assert got == pytest.approx(mmce_oracle(preds, bw), rel=1e-10)
 
 
@@ -230,7 +229,7 @@ def test_mmce_small_bandwidths_match_gram_matrix():
     for bw in (1e-4, 1e-3, 0.4):
         gram = np.exp(-np.abs(conf[:, None] - conf[None, :]) / bw)
         want = np.sqrt(max(c @ gram @ c, 0.0)) / len(c)
-        got = mmce(preds, KernelSpec("laplacian", bw))
+        got = mmce(preds, bw)
         assert np.isfinite(got)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -248,35 +247,17 @@ def test_mmce_perfect_predictor_is_zero():
     assert mmce(perfect_preds()) == 0.0
 
 
-def test_mmce_rejects_triweight_kernel():
-    with pytest.raises(ValueError, match="laplacian"):
-        mmce(perfect_preds(), KernelSpec("triweight", 0.1))
-
-
 # ---------------------------------------------------------------------------
-# kernels and bandwidth rule
+# bandwidths
 # ---------------------------------------------------------------------------
 
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError, match="unknown kernel family"):
-        KernelSpec("gaussian", 0.1)
-    with pytest.raises(ValueError, match="bandwidth"):
-        KernelSpec("laplacian", 0.0)
-    with pytest.raises(ValueError, match="bandwidth"):
-        KernelSpec("laplacian", -1.0)
-
-
-def test_kernel_values():
-    lap = KernelSpec("laplacian")
-    assert lap.evaluate(0.0) == 1.0
-    assert lap.evaluate(1.0) == pytest.approx(np.exp(-1.0), rel=1e-15)
-    assert lap.evaluate(-2.0) == lap.evaluate(2.0)
-
-    tri = KernelSpec("triweight")
-    assert tri.evaluate(0.0) == pytest.approx(35.0 / 32.0, rel=1e-15)
-    assert tri.evaluate(0.5) == pytest.approx(945.0 / 2048.0, rel=1e-15)
-    assert tri.evaluate(1.0) == 0.0
-    assert tri.evaluate(2.5) == 0.0  # compact support
+def test_bandwidth_must_be_positive():
+    preds = perfect_preds()
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="bandwidth"):
+            mmce(preds, bad)
+        with pytest.raises(ValueError, match="bandwidth"):
+            kdece(preds, bad)
 
 
 def test_silverman_formula_and_clipping():
@@ -300,7 +281,7 @@ def test_kdece_matches_scalar_oracle():
         preds = random_prob_preds(rng, int(rng.integers(10, 60)), 3)
         want = kdece_oracle(preds, 0.1, 101)
         for block in (2048, 7):
-            got = kdece(preds, KernelSpec("triweight", 0.1), grid=101,
+            got = kdece(preds, 0.1, grid=101,
                         block=block)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -335,8 +316,6 @@ def test_kdece_well_calibrated_bernoulli_is_small():
 
 def test_kdece_argument_validation():
     preds = perfect_preds()
-    with pytest.raises(ValueError, match="triweight"):
-        kdece(preds, KernelSpec("laplacian", 0.1))
     with pytest.raises(ValueError, match="grid"):
         kdece(preds, grid=1)
 

@@ -125,6 +125,23 @@ def test_benchmark_write_load_round_trip(tmp_path):
         assert loaded.query(a) == pytest.approx(bench.query(a))
 
 
+def test_failed_index_write_keeps_the_old_index(tmp_path, monkeypatch):
+    path = str(tmp_path / "bench.jsonl")
+    write_benchmark(small_bench(), path)
+    before = (tmp_path / "bench.index.json").read_bytes()
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write("{")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(RuntimeError, match="disk full"):
+        write_benchmark(small_bench(), path)
+    assert (tmp_path / "bench.index.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bench.index.json", "bench.jsonl"]
+
+
 def test_default_index_path():
     assert default_index_path("runs/b.jsonl") == "runs/b.index.json"
     assert default_index_path("b.records") == "b.records.index.json"

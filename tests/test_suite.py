@@ -14,7 +14,6 @@ from calibrex import (
     metric_key,
     nll,
     read_records,
-    records_to_nested,
     run_suite,
     split,
     table_from_records,
@@ -230,15 +229,6 @@ def two_arch_records():
                           continuous_metrics=("nll",), arch_index=arch)
         out.extend(run_suite(make_preds(seed=arch), cfg))
     return out
-
-
-def test_records_to_nested():
-    nested = records_to_nested(two_arch_records())
-    assert set(nested) == {"synthetic"}
-    assert set(nested["synthetic"]) == {"ece_10_pre", "ece_10_post",
-                                        "nll_pre", "nll_post"}
-    inner = nested["synthetic"]["ece_10_pre"]["CE"]
-    assert set(inner) == {1, 3}
 
 
 def test_table_from_records():

@@ -127,14 +127,6 @@ def test_fit_accepts_probability_input():
     assert abs(fit.value - 2.0) < 1e-2
 
 
-def test_fit_validates_bracket():
-    preds = planted_preds(1.0)
-    with pytest.raises(ValueError, match="t_min"):
-        fit_temperature(preds, t_min=0.0)
-    with pytest.raises(ValueError, match="t_min"):
-        fit_temperature(preds, t_min=2.0, t_max=1.0)
-
-
 # ---------------------------------------------------------------------------
 # application
 # ---------------------------------------------------------------------------
