@@ -151,20 +151,38 @@ def reliability_data(preds: PredictionSet, bins: int,
                               stats.mean_accuracy, gap)
 
 
-def _sorted_columns(preds: PredictionSet, top_label: bool, classwise: bool):
+def _top_label(preds: PredictionSet):
+    """Top-label confidences and 0/1 correctness, in canonical order.
+
+    One ``predicted_class`` serves both: the confidence is the score at the
+    argmax, which is the row max.  The samples are then sorted by
+    (confidence, correctness), so every consumer sees the same order whatever
+    the input order.  ``run_suite`` builds this once per stage and hands it to
+    the binned kernel, ``ksce``, ``mmce`` and ``kdece``.
+    """
+    _require_probs(preds)
+    pred = preds.predicted_class()
+    conf = preds.scores[np.arange(preds.n_samples), pred]
+    correct = (pred == preds.labels).astype(np.float64)
+    order = np.lexsort((correct, conf))
+    return conf[order], correct[order]
+
+
+def _sorted_columns(preds: PredictionSet, top, classwise: bool):
     """Score columns to bin, one per row, each sorted ascending.
 
-    Rows are the top-label confidences (if ``top_label``) followed by the K
-    class score columns (if ``classwise``).  Alongside comes, per row, the
-    sorted scores of that row's hits: the correctly predicted samples for the
-    top-label row, the samples labelled k for class column k.
+    Rows are the top-label confidences (if ``top``, the state of
+    ``_top_label``, is given) followed by the K class score columns (if
+    ``classwise``).  Alongside comes, per row, the sorted scores of that
+    row's hits: the correctly predicted samples for the top-label row, the
+    samples labelled k for class column k.
     """
     _require_probs(preds)
     rows, hits = [], []
-    if top_label:
-        conf = preds.top_confidence()
+    if top is not None:
+        conf, correct = top
         rows.append(conf[None, :])
-        hits.append(np.sort(conf[preds.correctness() == 1.0]))
+        hits.append(conf[correct == 1.0])
     if classwise:
         rows.append(preds.scores.T)
         labels = preds.labels
@@ -234,7 +252,8 @@ def _binned(preds: PredictionSet, bins: int, scheme: str, classwise: bool,
     _check_m(bins)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    cols, hits = _sorted_columns(preds, not classwise, classwise)
+    top = None if classwise else _top_label(preds)
+    cols, hits = _sorted_columns(preds, top, classwise)
     errors = _binned_errors(cols, hits, (bins,), p)
     return float(np.mean(errors[scheme, bins][statistic]))
 
@@ -252,13 +271,21 @@ def binned_metrics(preds: PredictionSet, metrics, bin_counts) -> dict:
     value is bit-identical to the matching public call, e.g.
     ``cwce_em(preds, m)``.
     """
+    return _binned_metrics(preds, None, metrics, bin_counts)
+
+
+def _binned_metrics(preds: PredictionSet, top, metrics, bin_counts) -> dict:
+    """``binned_metrics`` given the ``_top_label`` state; None builds it."""
     if not metrics or not bin_counts:
         return {}
     classwise = {_SUITE_METRICS[name][0] for name in metrics}
     top_label = False in classwise
     for m in bin_counts:
         _check_m(m)
-    cols, hits = _sorted_columns(preds, top_label, True in classwise)
+    if top_label and top is None:
+        top = _top_label(preds)
+    cols, hits = _sorted_columns(preds, top if top_label else None,
+                                 True in classwise)
     errors = _binned_errors(cols, hits, tuple(bin_counts))
     rows = {False: slice(0, 1), True: slice(int(top_label), None)}
     values = {}

@@ -11,6 +11,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -104,19 +105,52 @@ def _read_table_csv(path: str) -> analysis.MetricTable:
         # arch_index or a non-numeric cell raises ValueError
         dtype = [("arch_index", np.int64)] + [(f"c{i}", np.float64)
                                              for i in range(len(names))]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows: below
+        try:
+            data = _load_table_rows(fh, dtype)
+        except ValueError as exc:
+            # numpy's row number skips blank lines and counts from 0 or 1
+            # by error kind: drop it (and the `usecols` hint), name the line
+            msg = re.sub(r" at row \d+", "", str(exc).partition("; use")[0])
             try:
-                data = np.loadtxt(fh, dtype=dtype, delimiter=",",
-                                  comments=None, ndmin=1)
-            except ValueError as exc:  # drop numpy's `usecols` hint
-                msg = str(exc).partition("; use")[0]
-                raise ValueError(f"{path}: {msg}") from None
+                where = f"line {_bad_table_line(path, dtype)}: "
+            except ValueError:  # the body does not decode: no line to name
+                where = ""
+            raise ValueError(f"{path}: {where}{msg}") from None
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
     return analysis.MetricTable(data["arch_index"],
                                 {name: data[f"c{i}"]
                                  for i, name in enumerate(names)})
+
+
+def _load_table_rows(rows, dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        # an empty body is the caller's "no data rows" error
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
+                          ndmin=1)
+
+
+def _bad_table_line(path: str, dtype) -> int:
+    """File line of the first table row that ``_load_table_rows`` rejects.
+
+    Runs only after a load failed.  A prefix of the body fails exactly when
+    it holds a bad row, so bisecting on prefix length finds that row.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        header_lines = reader.line_num
+        body = fh.readlines()
+    good, bad = 0, len(body)  # body[:good] loads, body[:bad] does not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _load_table_rows(body[:mid], dtype)
+            good = mid
+        except ValueError:
+            bad = mid
+    return header_lines + bad
 
 
 def cmd_correlate(args) -> int:

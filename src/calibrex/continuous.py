@@ -1,17 +1,20 @@
 """Binning-free calibration metrics and proper-scoring losses.
 
-All metrics consume probability PredictionSets.  The pairwise-kernel metric
-(mmce) and the empirical-process metric (ksce) sort samples into a canonical
-order first, so they are exactly invariant to input permutation despite
-floating-point accumulation.
+All metrics consume probability PredictionSets.  The top-label metrics
+(ksce, mmce, kdece) read one state per prediction set: the top-label
+confidences and 0/1 correctness, sorted into the canonical (confidence,
+correctness) order by ``binning._top_label``.  They are therefore exactly
+invariant to input permutation despite floating-point accumulation, and
+``run_suite`` builds that state once per stage for all of them.
 """
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from .binning import _binned, _require_probs
+from .binning import _binned, _require_probs, _top_label
 from .predictions import PredictionSet
 
 PROB_FLOOR = 1e-12
@@ -35,22 +38,18 @@ def brier(preds: PredictionSet) -> float:
     return float(np.mean(sq - 2.0 * p_true + 1.0))
 
 
-def _canonical_order(conf: np.ndarray, correct: np.ndarray):
-    order = np.lexsort((correct, conf))
-    return conf[order], correct[order]
-
-
 def ksce(preds: PredictionSet) -> float:
     """Kolmogorov-Smirnov calibration error.
 
     Max absolute difference between the cumulative sums of correctness and
     confidence, in confidence order, scaled by 1/N.
     """
-    _require_probs(preds)
-    conf, correct = _canonical_order(preds.top_confidence(),
-                                     preds.correctness().astype(np.float64))
+    return _ksce(*_top_label(preds))
+
+
+def _ksce(conf: np.ndarray, correct: np.ndarray) -> float:
     drift = np.cumsum(correct - conf)
-    return float(np.max(np.abs(drift)) / preds.n_samples)
+    return float(np.max(np.abs(drift)) / conf.size)
 
 
 MMCE_BANDWIDTH = 0.4
@@ -70,8 +69,11 @@ def mmce(preds: PredictionSet, bandwidth: float = MMCE_BANDWIDTH) -> float:
     _require_probs(preds)
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    conf, correct = _canonical_order(preds.top_confidence(),
-                                     preds.correctness().astype(np.float64))
+    return _mmce(*_top_label(preds), bandwidth)
+
+
+def _mmce(conf: np.ndarray, correct: np.ndarray,
+          bandwidth: float = MMCE_BANDWIDTH) -> float:
     c = correct - conf
     decay = np.exp(-np.diff(conf) / bandwidth).tolist()
     s = 0.0
@@ -85,6 +87,7 @@ def mmce(preds: PredictionSet, bandwidth: float = MMCE_BANDWIDTH) -> float:
 
 KDE_BW_MIN = 1e-3
 KDE_BW_MAX = 0.2
+KDE_GRID = 1024
 
 
 def silverman_bandwidth(values) -> float:
@@ -102,44 +105,89 @@ def silverman_bandwidth(values) -> float:
 
 
 def kdece(preds: PredictionSet, bandwidth: Optional[float] = None,
-          grid: int = 1024, block: int = 2048) -> float:
+          grid: int = KDE_GRID, block: int = 2048) -> float:
     """Kernel-density estimate of calibration error.
 
     Smooths both the confidence density and the conditional accuracy with a
     triweight kernel on a uniform grid over [0, 1], then integrates
     |z - acc(z)| * density(z) by the trapezoid rule.  The density is left
     unnormalized; mass truncated at the boundaries is simply not counted.
-    A bandwidth of None picks one by ``silverman_bandwidth``.
+    A bandwidth of None picks one by ``silverman_bandwidth``.  ``block``
+    must be a positive integer but changes neither the value nor the
+    memory, which is linear in N + grid.
     """
     _require_probs(preds)
     if bandwidth is not None and not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
-    conf, correct = _canonical_order(preds.top_confidence(),
-                                     preds.correctness().astype(np.float64))
+    if not isinstance(block, Integral) or block < 1:
+        raise ValueError("block must be a positive integer")
+    return _kdece(*_top_label(preds), bandwidth, grid)
+
+
+def _kdece(conf: np.ndarray, correct: np.ndarray,
+           bandwidth: Optional[float] = None, grid: int = KDE_GRID) -> float:
+    """kdece on canonically sorted confidences and correctness."""
     h = bandwidth if bandwidth is not None else silverman_bandwidth(conf)
     z = np.linspace(0.0, 1.0, grid)
-    dens = np.zeros(grid)
-    acc_num = np.zeros(grid)
     n = conf.size
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        # the kernel vanishes beyond one bandwidth of every sample in the
-        # (sorted) block, so only grid points within that window get terms
-        g0 = np.searchsorted(z, conf[lo] - h, side="left")
-        g1 = np.searchsorted(z, conf[hi - 1] + h, side="right")
-        # triweight (35/32)(1 - u^2)^3 on [-1, 1], scaled by 1/h
-        u = (z[g0:g1, None] - conf[None, lo:hi]) / h
-        w = (35.0 / 32.0) * np.clip(1.0 - u * u, 0.0, None) ** 3 / h
-        dens[g0:g1] += w.sum(axis=1)
-        acc_num[g0:g1] += w @ correct[lo:hi]
+    # sample i has kernel terms only at grid points [g0_i, g1_i)
+    g0 = np.searchsorted(z, conf - h, side="left")
+    g1 = np.searchsorted(z, conf + h, side="right")
+    dens, acc_num = _kde_sums(conf, correct, z, h, g0, g1)
     dens /= n
     acc_num /= n
     with np.errstate(invalid="ignore", divide="ignore"):
         acc = np.where(dens > 0.0, acc_num / np.maximum(dens, 1e-300), 0.0)
     integrand = np.abs(z - acc) * dens
     return float(np.trapezoid(integrand, z))
+
+
+def _kde_sums(conf, correct, z, h, g0, g1):
+    """Unscaled density and accuracy sums on ``z``, grid offset by offset.
+
+    Step d evaluates every sample at its grid point g0_i + d, for the
+    samples whose window is wider than d.  Sorting the samples by window
+    width (widest first), then by correctness, makes those a prefix; within
+    each (width, correctness) group the canonical order keeps g0
+    nondecreasing, so samples sharing a grid point form runs.  Each step
+    sums the runs with ``add.reduceat`` and scatters the run sums with two
+    ``bincount`` calls.
+    """
+    grid = z.size
+    width = g1 - g0
+    order = np.lexsort((correct, -width))
+    width, g0, c, hit = width[order], g0[order], conf[order], correct[order]
+    starts = np.flatnonzero(np.r_[True, (width[1:] != width[:-1])
+                                  | (hit[1:] != hit[:-1])
+                                  | (g0[1:] != g0[:-1])])
+    run_g0, run_hit = g0[starts], hit[starts]
+    # samples, then runs, taking part in step d: those with width > d
+    active = np.searchsorted(-width, -np.arange(width[0]), side="left")
+    active_runs = np.searchsorted(starts, active, side="left")
+    dens = np.zeros(grid)
+    acc_num = np.zeros(grid)
+    g = np.empty_like(g0)
+    u = np.empty_like(c)
+    for d, (m, r) in enumerate(zip(active.tolist(), active_runs.tolist())):
+        gd = np.add(g0[:m], d, out=g[:m])
+        # u = (z - conf) / h, then the triweight (35/32)(1 - u^2)^3 on
+        # [-1, 1], scaled by 1/h
+        w = np.take(z, gd, out=u[:m])
+        np.subtract(w, c[:m], out=w)
+        np.divide(w, h, out=w)
+        np.multiply(w, w, out=w)
+        np.subtract(1.0, w, out=w)
+        np.clip(w, 0.0, None, out=w)
+        np.power(w, 3, out=w)
+        np.multiply(35.0 / 32.0, w, out=w)
+        np.divide(w, h, out=w)
+        run_sums = np.add.reduceat(w, starts[:r])
+        at = run_g0[:r] + d
+        dens += np.bincount(at, run_sums, minlength=grid)
+        acc_num += np.bincount(at, run_sums * run_hit[:r], minlength=grid)
+    return dens, acc_num
 
 
 def lp_ce(preds: PredictionSet, p: float, bins: int,

@@ -101,9 +101,12 @@ class SuiteConfig:
                              "confidence sequences")
 
 
-_CONT_FUNCS = {"nll": continuous.nll, "brier": continuous.brier,
-               "ksce": continuous.ksce, "mmce": continuous.mmce,
-               "kdece": continuous.kdece}
+# each takes a stage's probabilities and its ``binning._top_label`` state
+_CONT_FUNCS = {"nll": lambda probs, top: continuous.nll(probs),
+               "brier": lambda probs, top: continuous.brier(probs),
+               "ksce": lambda probs, top: continuous._ksce(*top),
+               "mmce": lambda probs, top: continuous._mmce(*top),
+               "kdece": lambda probs, top: continuous._kdece(*top)}
 
 
 def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
@@ -132,18 +135,20 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
 
     records = []
     for stage, probs, tval in stages:
-        binned = binning.binned_metrics(probs, config.bin_metrics,
-                                        config.bin_sizes)
+        # one argmax and one canonical sort serve every top-label metric
+        top = binning._top_label(probs)
+        binned = binning._binned_metrics(probs, top, config.bin_metrics,
+                                         config.bin_sizes)
         for metric in config.bin_metrics:
             for bins in config.bin_sizes:
                 records.append(rec(metric, bins, stage, binned[metric, bins],
                                    tval))
         for metric in config.continuous_metrics:
             records.append(rec(metric, None, stage,
-                               _CONT_FUNCS[metric](probs), tval))
+                               _CONT_FUNCS[metric](probs, top), tval))
         if config.include_accuracy:
-            records.append(rec("accuracy", None, stage, probs.accuracy(),
-                               tval))
+            # a 0/1 sum is exact in any order: the bits of probs.accuracy()
+            records.append(rec("accuracy", None, stage, top[1].mean(), tval))
     if config.ood_inputs is not None:
         pos = pre.top_confidence()
         for tag, ood in zip(("a", "b"), config.ood_inputs):

@@ -35,23 +35,43 @@ def _as_logits(preds: PredictionSet) -> np.ndarray:
     return preds.scores
 
 
-def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp, with the arithmetic of scipy's ``logsumexp``.
+def _logsumexp_into(z: np.ndarray, zmax: np.ndarray,
+                    is_max: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of z, with the arithmetic of scipy's
+    ``logsumexp``, given the row maxima ``zmax``.
 
     The row maxima are left out of the shifted sum and enter as the log of
-    their count: ``log1p(sum / count) + log(count) + max``.
+    their count: ``log1p(sum / count) + log(count) + max``.  z and the
+    boolean buffer is_max are overwritten.
     """
-    zmax = z.max(axis=1, keepdims=True)
-    is_max = z == zmax
-    count = is_max.sum(axis=1, keepdims=True, dtype=z.dtype)
-    s = np.exp(np.where(is_max, -np.inf, z) - zmax).sum(axis=1, keepdims=True)
-    return (np.log1p(s / count) + np.log(count) + zmax)[:, 0]
+    col = zmax[:, None]
+    np.equal(z, col, out=is_max)
+    count = is_max.sum(axis=1, dtype=z.dtype)
+    np.subtract(z, col, out=z)
+    np.copyto(z, -np.inf, where=is_max)
+    s = np.exp(z, out=z).sum(axis=1)
+    return np.log1p(s / count) + np.log(count) + zmax
 
 
-def _nll_at(logits: np.ndarray, labels: np.ndarray, t: float) -> float:
-    z = logits / t
-    lse = _logsumexp_rows(z)
-    return float(np.mean(lse - z[np.arange(z.shape[0]), labels]))
+def _nll_curve(logits: np.ndarray, labels: np.ndarray):
+    """``t -> mean NLL of softmax(logits / t)``, with per-fit work hoisted.
+
+    Division by t > 0 is monotone, so the row max of ``logits / t`` is the
+    row max of the logits divided by t, exactly; it and the label logits
+    are taken once, and each call reuses two N x K buffers.  ``is_max``
+    still compares the divided logits: two distinct logits can round to one
+    value after division.
+    """
+    row_max = logits.max(axis=1)
+    label_logits = logits[np.arange(logits.shape[0]), labels]
+    z = np.empty_like(logits)
+    is_max = np.empty(logits.shape, dtype=bool)
+
+    def nll_at(t: float) -> float:
+        np.divide(logits, t, out=z)
+        lse = _logsumexp_into(z, row_max / t, is_max)
+        return float(np.mean(lse - label_logits / t))
+    return nll_at
 
 
 def fit_temperature(preds: PredictionSet) -> Temperature:
@@ -61,11 +81,10 @@ def fit_temperature(preds: PredictionSet) -> Temperature:
     narrower than T_TOL in temperature units.  If the optimum does not
     strictly improve on T=1, the identity temperature is returned.
     """
-    logits = _as_logits(preds)
-    labels = preds.labels
+    nll_at = _nll_curve(_as_logits(preds), preds.labels)
 
     def f(u: float) -> float:
-        return _nll_at(logits, labels, math.exp(u))
+        return nll_at(math.exp(u))
 
     lo, hi = math.log(T_MIN), math.log(T_MAX)
     x1 = hi - _INV_PHI * (hi - lo)
@@ -81,8 +100,8 @@ def fit_temperature(preds: PredictionSet) -> Temperature:
             x2 = lo + _INV_PHI * (hi - lo)
             f2 = f(x2)
     t_star = math.exp(0.5 * (lo + hi))
-    nll_one = _nll_at(logits, labels, 1.0)
-    nll_star = _nll_at(logits, labels, t_star)
+    nll_one = nll_at(1.0)
+    nll_star = nll_at(t_star)
     if not nll_star < nll_one:
         return Temperature(1.0, nll_one, nll_one)
     return Temperature(t_star, nll_one, nll_star)

@@ -252,11 +252,18 @@ def test_correlate_rejects_malformed_table(tmp_path, capsys):
     ("0,0.5,1\n1,0.25,abc\n", "'abc'"),             # non-numeric cell
     ("0,0.5,1\n1.0,0.25,2\n", "'1.0' to int64"),    # non-integer index
     ("", "no data rows"),
-], ids=["short-row", "extra-cell", "non-numeric", "float-index", "no-rows"])
+    # a byte that is not UTF-8 past the reader's first 8 KiB chunk
+    ("".join(f"{i},0.5,1\n" for i in range(2000)).encode() + b"9,\xff,1\n",
+     "can't decode byte 0xff"),
+], ids=["short-row", "extra-cell", "non-numeric", "float-index", "no-rows",
+        "not-utf8"])
 def test_correlate_bad_table_exits_2_with_one_line(tmp_path, capsys, body,
                                                    where):
     bad = tmp_path / "bad.csv"
-    bad.write_text("arch_index,a,b\n" + body)
+    if isinstance(body, bytes):
+        bad.write_bytes(b"arch_index,a,b\n" + body)
+    else:
+        bad.write_text("arch_index,a,b\n" + body)
     rc = main(["correlate", "--table", str(bad),
                "--out", str(tmp_path / "m.csv")])
     assert rc == 2
@@ -264,6 +271,24 @@ def test_correlate_bad_table_exits_2_with_one_line(tmp_path, capsys, body,
     assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
     assert where in err
     assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("body, line, where", [
+    ("0,0.5,1\n1,0.25\n", 3, "2 were found"),            # short row
+    ("0,0.5,1\n1,0.25,abc\n", 3, "'abc'"),               # bad cell
+    ("\n0,0.5,1\n\n1,0.25,abc\n2,1,2\n", 5, "'abc'"),   # blank lines
+    ("0,0.5,1\n1,2,3\n2,3,4\n3,4\n4,5,6\n", 5, "2 were found"),
+], ids=["short-row", "bad-cell", "after-blank-lines", "fifth-line"])
+def test_correlate_bad_table_names_the_file_line(tmp_path, capsys, body,
+                                                 line, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("arch_index,a,b\n" + body)
+    rc = main(["correlate", "--table", str(bad),
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line {line}: ")
+    assert where in err and "row" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from calibrex import (
     nll,
     silverman_bandwidth,
 )
+from calibrex import continuous
+from calibrex.binning import _top_label
 from calibrex.continuous import KDE_BW_MAX, KDE_BW_MIN, MMCE_BANDWIDTH, PROB_FLOOR
 
 
@@ -81,8 +83,13 @@ def triweight(u):
 
 
 def kdece_oracle(preds, bandwidth, grid):
-    conf = preds.top_confidence().tolist()
-    correct = preds.correctness().tolist()
+    return kdece_oracle_arrays(preds.top_confidence(), preds.correctness(),
+                               bandwidth, grid)
+
+
+def kdece_oracle_arrays(conf, correct, bandwidth, grid):
+    conf = np.asarray(conf, dtype=np.float64).tolist()
+    correct = np.asarray(correct, dtype=np.float64).tolist()
     n = len(conf)
     step = 1.0 / (grid - 1)
     vals = []
@@ -318,6 +325,66 @@ def test_kdece_argument_validation():
     preds = perfect_preds()
     with pytest.raises(ValueError, match="grid"):
         kdece(preds, grid=1)
+    for bad in (-5, 0):
+        with pytest.raises(ValueError,
+                           match="block must be a positive integer"):
+            kdece(preds, block=bad)
+
+
+def kdece_edge_cases():
+    """(name, conf, correct): canonically sorted top-label states."""
+    rng = np.random.default_rng(21)
+    k = 4
+    uniform = PredictionSet(np.full((5, k), 1.0 / k), [0, 1, 2, 3, 0],
+                            is_probabilities=True)
+    one_hot = perfect_preds(6, k)
+    mixed = random_prob_preds(rng, 60, k)
+    yield "n=1", np.array([0.7]), np.array([1.0])
+    yield "at 1/K", *_top_label(uniform)
+    yield "at 1.0", *_top_label(one_hot)
+    yield "all equal", np.full(30, 0.62), (np.arange(30) % 3 == 0) * 1.0
+    # 0 is no top-label confidence, but the kernel takes any point of [0, 1]
+    conf = np.sort(np.r_[0.0, 0.0, 1.0 / k, 1.0, 1.0, rng.uniform(size=40)])
+    yield "at 0, 1/K and 1", conf, (rng.uniform(size=conf.size) < conf) * 1.0
+    yield "random", *_top_label(mixed)
+
+
+@pytest.mark.parametrize("name,conf,correct", list(kdece_edge_cases()))
+def test_kdece_matches_oracle_at_edges(name, conf, correct):
+    grid = 257
+    for bandwidth in (KDE_BW_MIN, silverman_bandwidth(conf), KDE_BW_MAX):
+        want = kdece_oracle_arrays(conf, correct, bandwidth, grid)
+        got = continuous._kdece(conf, correct, bandwidth, grid)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300), bandwidth
+
+
+def kdece_dense_reference(preds, bandwidth, grid=1024, chunk=1000):
+    """kdece with every sample evaluated at every grid point, in chunks."""
+    conf = preds.top_confidence()
+    correct = preds.correctness().astype(np.float64)
+    h = bandwidth if bandwidth is not None else silverman_bandwidth(conf)
+    z = np.linspace(0.0, 1.0, grid)
+    dens = np.zeros(grid)
+    acc_num = np.zeros(grid)
+    for lo in range(0, conf.size, chunk):
+        u = (z[:, None] - conf[None, lo:lo + chunk]) / h
+        w = (35.0 / 32.0) * np.clip(1.0 - u * u, 0.0, None) ** 3 / h
+        dens += w.sum(axis=1)
+        acc_num += w @ correct[lo:lo + chunk]
+    dens /= conf.size
+    acc_num /= conf.size
+    acc = np.where(dens > 0.0, acc_num / np.maximum(dens, 1e-300), 0.0)
+    return float(np.trapezoid(np.abs(z - acc) * dens, z))
+
+
+def test_kdece_matches_dense_reference_at_suite_shape():
+    """8,000 CIFAR-10-shaped samples on the default grid: many samples share
+    a window width and grid point, so the run sums do real work."""
+    rng = np.random.default_rng(22)
+    preds = random_prob_preds(rng, 8000, 10)
+    for bandwidth in (None, 0.03, KDE_BW_MAX):
+        assert kdece(preds, bandwidth) == pytest.approx(
+            kdece_dense_reference(preds, bandwidth), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

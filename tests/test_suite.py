@@ -9,8 +9,12 @@ from calibrex import (
     PredictionSet,
     SplitSpec,
     SuiteConfig,
+    apply_temperature,
     as_probabilities,
+    binning,
+    continuous,
     ece,
+    fit_temperature,
     metric_key,
     nll,
     read_records,
@@ -105,6 +109,57 @@ def test_suite_values_match_direct_computation():
     by_key = {metric_key(r): r.value for r in records}
     assert by_key["ece_15_pre"] == ece(probs, 15)
     assert by_key["nll_pre"] == nll(probs)
+
+
+def stage_predictions(preds, cfg):
+    """The probabilities run_suite measures at each stage."""
+    fit_part, test_part = split(preds, cfg.split)
+    return {"pre": as_probabilities(test_part),
+            "post": apply_temperature(test_part, fit_temperature(fit_part))}
+
+
+@pytest.mark.parametrize("n, k", [(60, 3), (3000, 10)])
+def test_suite_records_equal_public_functions(n, k):
+    """Every binned and binning-free record has the bits of the public call
+    on the same stage predictions."""
+    preds = make_preds(seed=3, n=n, k=k)
+    cfg = SuiteConfig()
+    records = run_suite(preds, cfg)
+    stages = stage_predictions(preds, cfg)
+    checked = 0
+    for r in records:
+        probs = stages[r.stage]
+        if r.bin_count is None:
+            want = getattr(continuous, r.metric)(probs)
+        else:
+            want = getattr(binning, r.metric)(probs, r.bin_count)
+        assert r.value == want, metric_key(r)
+        checked += 1
+    assert checked == 100
+
+
+def test_run_suite_builds_top_label_state_once_per_stage(monkeypatch):
+    """One argmax and one canonical sort per stage serve every top-label
+    metric, the accuracy record included."""
+    calls = {"state": 0, "argmax": 0}
+    build, predicted = binning._top_label, PredictionSet.predicted_class
+
+    def counting_state(preds):
+        calls["state"] += 1
+        return build(preds)
+
+    def counting_argmax(self):
+        calls["argmax"] += 1
+        return predicted(self)
+    monkeypatch.setattr(binning, "_top_label", counting_state)
+    monkeypatch.setattr(continuous, "_top_label", counting_state)
+    monkeypatch.setattr(PredictionSet, "predicted_class", counting_argmax)
+    run_suite(make_preds(), SuiteConfig(include_accuracy=True,
+                                        ood_inputs=ood_pair()))
+    assert calls == {"state": 2, "argmax": 2}
+    calls.update(state=0, argmax=0)
+    run_suite(make_preds(), SuiteConfig(temperature_scale=False))
+    assert calls == {"state": 1, "argmax": 1}
 
 
 def test_suite_is_deterministic():

@@ -1,16 +1,30 @@
 """Tests for temperature fitting and application."""
+import math
+
 import numpy as np
 import pytest
 
 from calibrex import (
     PredictionSet,
+    SplitSpec,
     Temperature,
     apply_temperature,
     fit_temperature,
     nll,
     softmax,
+    split,
 )
-from calibrex.temperature import T_MAX, T_MIN, _logsumexp_rows, _nll_at
+from calibrex.temperature import (T_MAX, T_MIN, T_TOL, _INV_PHI, _as_logits,
+                                  _logsumexp_into, _nll_curve)
+
+
+def logsumexp_rows(z):
+    return _logsumexp_into(z.copy(), z.max(axis=1),
+                           np.empty(z.shape, dtype=bool))
+
+
+def nll_at(logits, labels, t):
+    return _nll_curve(logits, labels)(t)
 
 
 def nll_reference(logits, labels, t):
@@ -40,11 +54,98 @@ def test_logsumexp_and_nll_match_scipy_bit_for_bit():
         for t in (T_MIN, 0.3, 1.0, 7.0, T_MAX):
             scaled = logits / t
             ref = special.logsumexp(scaled, axis=1)
-            assert np.array_equal(_logsumexp_rows(scaled), ref)
-            assert _nll_at(logits, labels, t) == float(np.mean(
+            assert np.array_equal(logsumexp_rows(scaled), ref)
+            assert nll_at(logits, labels, t) == float(np.mean(
                 ref - scaled[np.arange(400), labels]))
-    assert np.array_equal(_logsumexp_rows(flat),
+    assert np.array_equal(logsumexp_rows(flat),
                           special.logsumexp(flat, axis=1))
+
+
+def nll_at_unhoisted(logits, labels, t):
+    """The NLL as every evaluation once computed it from ``logits / t``."""
+    z = logits / t
+    zmax = z.max(axis=1, keepdims=True)
+    is_max = z == zmax
+    count = is_max.sum(axis=1, keepdims=True, dtype=z.dtype)
+    s = np.exp(np.where(is_max, -np.inf, z) - zmax).sum(axis=1, keepdims=True)
+    lse = (np.log1p(s / count) + np.log(count) + zmax)[:, 0]
+    return float(np.mean(lse - z[np.arange(z.shape[0]), labels]))
+
+
+def fit_unhoisted(preds):
+    """fit_temperature's golden-section search on ``nll_at_unhoisted``."""
+    logits, labels = _as_logits(preds), preds.labels
+
+    def f(u):
+        return nll_at_unhoisted(logits, labels, math.exp(u))
+
+    lo, hi = math.log(T_MIN), math.log(T_MAX)
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while math.exp(hi) - math.exp(lo) > T_TOL:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = f(x2)
+    t_star = math.exp(0.5 * (lo + hi))
+    nll_one = nll_at_unhoisted(logits, labels, 1.0)
+    nll_star = nll_at_unhoisted(logits, labels, t_star)
+    if not nll_star < nll_one:
+        return Temperature(1.0, nll_one, nll_one)
+    return Temperature(t_star, nll_one, nll_star)
+
+
+def overconfident_preds(k, model, n=10_000):
+    """Logits of an overconfident classifier, as the benchmark generates
+    them: unit Gaussians, true class shifted by mu, all scaled by mu * t."""
+    rng = np.random.default_rng([k, model, 2])
+    lo, hi = (1.6, 3.2) if k <= 10 else (2.4, 4.4)
+    mu = rng.uniform(lo, hi)
+    t = rng.uniform(1.4, 2.4)
+    labels = rng.integers(0, k, size=n)
+    z = rng.standard_normal((n, k))
+    z[np.arange(n), labels] += mu
+    return PredictionSet((z * (mu * t)).astype(np.float32), labels)
+
+
+def test_nll_equals_unhoisted_formula_with_colliding_maxima():
+    rng = np.random.default_rng(17)
+    n, k = 300, 6
+    logits = rng.normal(scale=4.0, size=(n, k))
+    # rows 0..199 have top logits x and the next double above x: distinct
+    # logits that often round to one value after division by t
+    x = rng.uniform(-8.0, 8.0, 200)
+    logits[:200, 0] = x
+    logits[:200, 3] = np.nextafter(x, np.inf)
+    # the other logits sit 0.01 to 40 below, so at every t some of them
+    # weigh in the sum that the maxima are left out of
+    gaps = np.exp(rng.uniform(np.log(0.01), np.log(40.0), (200, 4)))
+    logits[:200, [1, 2, 4, 5]] = x[:, None] - gaps
+    labels = rng.integers(0, k, n)
+    collided = 0
+    for t in np.geomspace(T_MIN, T_MAX, 31):
+        assert nll_at(logits, labels, t) == nll_at_unhoisted(logits, labels,
+                                                              t), t
+        # one row at a time, so no last-bit difference hides in the mean
+        rows = np.flatnonzero(logits[:200, 0] / t == logits[:200, 3] / t)
+        collided += rows.size
+        for i in rows:
+            one = slice(i, i + 1)
+            assert nll_at(logits[one], labels[one], t) == nll_at_unhoisted(
+                logits[one], labels[one], t), (t, i)
+    assert collided > 100
+
+
+@pytest.mark.parametrize("k", [10, 120])
+def test_fit_on_benchmark_shaped_logits_gives_unhoisted_bits(k):
+    for model in (0, 1):
+        fit_part, _ = split(overconfident_preds(k, model), SplitSpec(0.2, 0))
+        assert fit_temperature(fit_part) == fit_unhoisted(fit_part)
 
 
 def planted_preds(c, repeat=1):
