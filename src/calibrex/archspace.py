@@ -50,15 +50,7 @@ class TssArch:
                            tuple(_canon_op(op) for op in self.ops))
 
     def to_string(self) -> str:
-        blocks = []
-        i = 0
-        for node in (1, 2, 3):
-            parts = []
-            for src in range(node):
-                parts.append(f"|{self.ops[i]}~{src}")
-                i += 1
-            blocks.append("".join(parts) + "|")
-        return "+".join(blocks)
+        return tss_string(self.ops)
 
 
 @dataclass(frozen=True)
@@ -77,7 +69,17 @@ class SssArch:
         object.__setattr__(self, "channels", chans)
 
     def to_string(self) -> str:
-        return ":".join(str(c) for c in self.channels)
+        return sss_string(self.channels)
+
+
+def tss_string(ops) -> str:
+    """NATS cell notation of six canonical edge ops in ``TSS_EDGES`` order."""
+    return "|{}~0|+|{}~0|{}~1|+|{}~0|{}~1|{}~2|".format(*ops)
+
+
+def sss_string(channels) -> str:
+    """Colon-separated notation of five channel counts."""
+    return ":".join(str(c) for c in channels)
 
 
 def parse_tss(text: str) -> TssArch:

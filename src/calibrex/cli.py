@@ -228,34 +228,36 @@ def _bracket_labels(edges) -> list:
 
 
 def cmd_report(args) -> int:
-    records = suite.read_records(args.records)
-    if not records:
-        raise ValueError("no records")
-    groups = {}
     if args.group_by == "bin_count":
-        for r in records:
-            key = "unbinned" if r.bin_count is None else str(r.bin_count)
-            groups.setdefault(key, []).append(r.value)
-        order = sorted((k for k in groups if k != "unbinned"), key=int)
-        if "unbinned" in groups:
-            order.append("unbinned")
+        def group_of(rec):
+            bins = rec["bin_count"]
+            return "unbinned" if bins is None else str(bins)
     else:
         if args.brackets is None:
             raise ValueError("--group-by size_bracket requires --brackets")
         edges = [float(x) for x in args.brackets.split(",")]
-        if any(b not in ("sss",) for b in
-               {r.search_space for r in records}):
-            raise ValueError("size brackets need sss records (model size "
-                             "is the channel sum)")
         space = archspace.enumerate_sss()
         labels = _bracket_labels(edges)
-        for r in records:
-            if not 0 <= r.arch_index < len(space):
-                raise ValueError(f"arch_index {r.arch_index} outside the "
-                                 "sss space")
-            size = archspace.model_size(space[r.arch_index])
-            bracket = int(analysis.size_brackets([size], edges)[0])
-            groups.setdefault(labels[bracket], []).append(r.value)
+
+        def group_of(rec):
+            if rec["search_space"] != "sss":
+                raise ValueError("size brackets need sss records (model "
+                                 "size is the channel sum)")
+            if rec["arch_index"] >= len(space):
+                raise ValueError(f"arch_index {rec['arch_index']} outside "
+                                 "the sss space")
+            size = archspace.model_size(space[rec["arch_index"]])
+            return labels[int(analysis.size_brackets([size], edges)[0])]
+    groups = {}
+    for rec in suite.iter_records(args.records):
+        groups.setdefault(group_of(rec), []).append(rec["value"])
+    if not groups:
+        raise ValueError("no records")
+    if args.group_by == "bin_count":
+        order = sorted((k for k in groups if k != "unbinned"), key=int)
+        if "unbinned" in groups:
+            order.append("unbinned")
+    else:
         order = [lab for lab in labels if lab in groups]
     scale = 100.0 if args.percent else 1.0
     with suite.atomic_output(args.out) as tmp:
@@ -352,7 +354,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
-        msg = exc.args[0] if exc.args else exc
+        if isinstance(exc, OSError) and exc.strerror:
+            # args[0] of a system error is its errno: name the file instead
+            msg = f"{exc.filename}: {exc.strerror}" \
+                if exc.filename is not None else exc.strerror
+        else:
+            msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
 

@@ -18,8 +18,9 @@ import numpy as np
 
 from .analysis import hcs
 from .archspace import (SSS_CHANNELS, TSS_OPS, SssArch, TssArch,
-                        enumerate_sss, enumerate_tss, parse_arch)
-from .suite import (MeasurementRecord, atomic_output, read_records,
+                        enumerate_sss, enumerate_tss, parse_arch, sss_string,
+                        tss_string)
+from .suite import (MeasurementRecord, _is_int, atomic_output, iter_records,
                     write_records)
 
 OBJECTIVES = ("acc", "ece", "hcs")
@@ -53,14 +54,44 @@ class TabularBenchmark:
             raise KeyError(f"architecture {key!r} not in benchmark") \
                 from None
 
+    def scores(self, objective: "Objective") -> Dict[str, float]:
+        """The objective of every architecture with metrics, keyed by arch.
+
+        One call of ``objective.fn`` over whole metric columns scores them
+        all, so an out-of-range value anywhere fails here.
+        """
+        values = objective.fn(_Columns(self.metrics.values()))
+        values = np.broadcast_to(np.asarray(values, dtype=np.float64),
+                                 (len(self.metrics),))
+        return dict(zip(self.metrics, values.tolist()))
+
     def argmax(self, objective: "Objective"):
-        best = max(self.archs, key=lambda a: objective(self.query(a)))
-        return best, objective(self.query(best))
+        scores = self.scores(objective)
+        best = max(self.archs, key=scores.__getitem__)
+        return best, scores[best]
+
+
+class _Columns(dict):
+    """Metric name -> float64 column over metrics dicts, built on first use."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, name: str) -> np.ndarray:
+        column = self[name] = np.array([m[name] for m in self.rows],
+                                       dtype=np.float64)
+        return column
 
 
 @dataclass(frozen=True)
 class Objective:
-    """A named scalar to maximize, computed from a metrics dict."""
+    """A named scalar to maximize, computed from a metrics dict.
+
+    ``fn`` must also work elementwise when each metric is a NumPy column:
+    searches score every architecture with one call
+    (``TabularBenchmark.scores``).
+    """
 
     name: str
     fn: Callable[[Dict[str, float]], float]
@@ -149,35 +180,57 @@ def default_index_path(records_path: str) -> str:
     return base + ".index.json"
 
 
+def _read_index(index_path: str) -> Dict[int, str]:
+    """arch_index -> arch string, from a JSON object {arch: arch_index}."""
+    with open(index_path, "rb") as fh:
+        try:
+            index = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{index_path}: not a JSON index: {exc}") \
+                from None
+    if not isinstance(index, dict):
+        raise ValueError(f"{index_path}: not a JSON object of "
+                         "arch: arch_index")
+    by_index: Dict[int, str] = {}
+    for arch, i in index.items():
+        if not _is_int(i) or i < 0:
+            raise ValueError(f"{index_path}: arch_index of {arch!r} must be "
+                             f"an integer >= 0, got {i!r}")
+        if i in by_index:
+            raise ValueError(f"{index_path}: {by_index[i]!r} and {arch!r} "
+                             f"share arch_index {i}")
+        by_index[i] = arch
+    return by_index
+
+
 def load_benchmark(records_path: str,
                    index_path: Optional[str] = None) -> TabularBenchmark:
     """Join suite JSONL records with the arch-string index.
 
     Accuracy comes from "accuracy" records and ECE from "ece" records of
-    the pre stage (any bin count; the smallest wins if several).
+    the pre stage (any bin count; the smallest wins if several).  The
+    records are streamed: every line is checked, none is kept.
     """
     if index_path is None:
         index_path = default_index_path(records_path)
-    with open(index_path) as fh:
-        index = json.load(fh)
-    by_index = {int(i): a for a, i in index.items()}
-    records = read_records(records_path)
-    spaces = {r.search_space for r in records}
-    if len(spaces) != 1:
-        raise ValueError(f"records mix search spaces {sorted(spaces)}")
+    by_index = _read_index(index_path)
+    spaces = set()
     metrics: Dict[str, Dict[str, float]] = {}
     ece_bins: Dict[str, int] = {}
-    for r in records:
-        if r.stage != "pre" or r.arch_index not in by_index:
+    for rec in iter_records(records_path):
+        spaces.add(rec["search_space"])
+        if rec["stage"] != "pre" or rec["arch_index"] not in by_index:
             continue
-        arch = by_index[r.arch_index]
+        arch = by_index[rec["arch_index"]]
         slot = metrics.setdefault(arch, {})
-        if r.metric == "accuracy":
-            slot["accuracy"] = r.value
-        elif r.metric == "ece":
-            if "ece" not in slot or r.bin_count < ece_bins[arch]:
-                slot["ece"] = r.value
-                ece_bins[arch] = r.bin_count
+        if rec["metric"] == "accuracy":
+            slot["accuracy"] = rec["value"]
+        elif rec["metric"] == "ece":
+            if "ece" not in slot or rec["bin_count"] < ece_bins[arch]:
+                slot["ece"] = rec["value"]
+                ece_bins[arch] = rec["bin_count"]
+    if len(spaces) != 1:
+        raise ValueError(f"records mix search spaces {sorted(spaces)}")
     complete = sorted(a for a, m in metrics.items()
                       if "accuracy" in m and "ece" in m)
     if not complete:
@@ -217,12 +270,17 @@ class SearchResult:
 
 
 class _Evaluator:
-    """Memoized benchmark queries; every call counts against the budget."""
+    """Memoized benchmark queries; every call counts against the budget.
+
+    The objective is scored for the whole benchmark up front; the first
+    visit of an architecture still queries the benchmark, which raises
+    KeyError for one it does not hold.
+    """
 
     def __init__(self, bench: TabularBenchmark, objective: Objective,
                  budget: int):
         self.bench = bench
-        self.objective = objective
+        self.scores = bench.scores(objective)
         self.budget = budget
         self.memo: Dict[str, float] = {}
         self.count = 0
@@ -236,11 +294,10 @@ class _Evaluator:
     def __call__(self, arch: str) -> float:
         if self.exhausted():
             raise RuntimeError("budget exhausted")
-        if arch in self.memo:
-            value = self.memo[arch]
-        else:
-            value = self.objective(self.bench.query(arch))
-            self.memo[arch] = value
+        value = self.memo.get(arch)
+        if value is None:
+            self.bench.query(arch)
+            value = self.memo[arch] = self.scores[arch]
         self.count += 1
         if value > self.best_value:
             self.best_value = value
@@ -253,39 +310,41 @@ class _Evaluator:
                             list(self.trajectory), is_local_optimum)
 
 
+def _encoding(arch):
+    """(parts, alphabet, to-string function) of a parsed architecture."""
+    if isinstance(arch, TssArch):
+        return arch.ops, TSS_OPS, tss_string
+    if isinstance(arch, SssArch):
+        return arch.channels, SSS_CHANNELS, sss_string
+    raise TypeError(f"cannot mutate {type(arch).__name__} or take its "
+                    "neighborhood")
+
+
+def _mutate_parts(parts: tuple, alphabet: tuple,
+                  rng: np.random.Generator) -> tuple:
+    pos = int(rng.integers(len(parts)))
+    options = [x for x in alphabet if x != parts[pos]]
+    x = options[int(rng.integers(len(options)))]
+    return parts[:pos] + (x,) + parts[pos + 1:]
+
+
+def _neighbor_parts(parts: tuple, alphabet: tuple):
+    for pos in range(len(parts)):
+        for x in alphabet:
+            if x != parts[pos]:
+                yield parts[:pos] + (x,) + parts[pos + 1:]
+
+
 def mutate(arch, rng: np.random.Generator):
     """Change exactly one edge op (TSS) or one layer's channels (SSS)."""
-    if isinstance(arch, TssArch):
-        pos = int(rng.integers(len(arch.ops)))
-        options = [op for op in TSS_OPS if op != arch.ops[pos]]
-        op = options[int(rng.integers(len(options)))]
-        return TssArch(arch.ops[:pos] + (op,) + arch.ops[pos + 1:])
-    if isinstance(arch, SssArch):
-        pos = int(rng.integers(len(arch.channels)))
-        options = [c for c in SSS_CHANNELS if c != arch.channels[pos]]
-        c = options[int(rng.integers(len(options)))]
-        return SssArch(arch.channels[:pos] + (c,) + arch.channels[pos + 1:])
-    raise TypeError(f"cannot mutate {type(arch).__name__}")
+    parts, alphabet, _ = _encoding(arch)
+    return type(arch)(_mutate_parts(parts, alphabet, rng))
 
 
 def neighbors(arch) -> list:
     """All single-change variants in deterministic order."""
-    out = []
-    if isinstance(arch, TssArch):
-        for pos in range(len(arch.ops)):
-            for op in TSS_OPS:
-                if op != arch.ops[pos]:
-                    out.append(TssArch(arch.ops[:pos] + (op,)
-                                       + arch.ops[pos + 1:]))
-        return out
-    if isinstance(arch, SssArch):
-        for pos in range(len(arch.channels)):
-            for c in SSS_CHANNELS:
-                if c != arch.channels[pos]:
-                    out.append(SssArch(arch.channels[:pos] + (c,)
-                                       + arch.channels[pos + 1:]))
-        return out
-    raise TypeError(f"no neighborhood for {type(arch).__name__}")
+    parts, alphabet, _ = _encoding(arch)
+    return [type(arch)(p) for p in _neighbor_parts(parts, alphabet)]
 
 
 def random_search(bench: TabularBenchmark, objective: Objective,
@@ -314,17 +373,20 @@ def regularized_evolution(bench: TabularBenchmark, objective: Objective,
     ev = _Evaluator(bench, objective, config.budget)
     n_init = min(config.population_size, config.budget, len(bench))
     init_idx = rng.choice(len(bench), size=n_init, replace=False)
+    # members are (value, parts, alphabet, to-string function): parents
+    # are mutated without parsing their strings again
     population = deque()
     for i in init_idx:
         arch = bench.archs[int(i)]
-        population.append((arch, ev(arch)))
+        value = ev(arch)
+        population.append((value, *_encoding(parse_arch(arch))))
     while not ev.exhausted():
         k = min(config.sample_size, len(population))
         picks = rng.choice(len(population), size=k, replace=False)
-        parent = max((population[int(p)] for p in picks),
-                     key=lambda av: av[1])[0]
-        child = mutate(parse_arch(parent), rng).to_string()
-        population.append((child, ev(child)))
+        _, parts, alphabet, fmt = max((population[int(p)] for p in picks),
+                                      key=lambda member: member[0])
+        child = _mutate_parts(parts, alphabet, rng)
+        population.append((ev(fmt(child)), child, alphabet, fmt))
         population.popleft()
     return ev.result()
 
@@ -341,21 +403,22 @@ def local_search(bench: TabularBenchmark, objective: Objective,
     ev = _Evaluator(bench, objective, config.budget)
     current = bench.archs[int(rng.integers(len(bench)))]
     current_value = ev(current)
+    parts, alphabet, fmt = _encoding(parse_arch(current))
     at_optimum = False
     while not ev.exhausted():
         best_n, best_v = None, current_value
         scan_done = True
-        for n in neighbors(parse_arch(current)):
+        for n in _neighbor_parts(parts, alphabet):
             if ev.exhausted():
                 scan_done = False
                 break
-            v = ev(n.to_string())
+            v = ev(fmt(n))
             if v > best_v:
-                best_n, best_v = n.to_string(), v
+                best_n, best_v = n, v
         if not scan_done:
             break
         if best_n is None:
             at_optimum = True
             break
-        current, current_value = best_n, best_v
+        parts, current_value = best_n, best_v
     return ev.result(is_local_optimum=at_optimum)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,17 +44,7 @@ class MeasurementRecord:
     temperature: Optional[float] = None
 
     def __post_init__(self):
-        if self.search_space not in ("tss", "sss"):
-            raise ValueError(f"bad search_space {self.search_space!r}")
-        if self.stage not in STAGES:
-            raise ValueError(f"bad stage {self.stage!r}")
-        if self.split not in SPLITS:
-            raise ValueError(f"bad split {self.split!r}")
-        if (self.metric in BIN_METRICS) != (self.bin_count is not None):
-            raise ValueError("bin_count must be present exactly for "
-                             f"bin-based metrics (metric={self.metric!r})")
-        if not np.isfinite(self.value):
-            raise ValueError("value must be finite")
+        check_record(vars(self))
 
     def to_dict(self) -> dict:
         return {"benchmark_dataset": self.benchmark_dataset,
@@ -63,9 +54,69 @@ class MeasurementRecord:
                 "split": self.split, "value": self.value,
                 "temperature": self.temperature}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MeasurementRecord":
-        return cls(**d)
+
+_RECORD_FIELDS = frozenset(f.name for f in fields(MeasurementRecord))
+_REQUIRED_FIELDS = _RECORD_FIELDS - {"temperature"}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite_real(x) -> bool:
+    if isinstance(x, bool) or \
+            not isinstance(x, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def check_record(rec: dict) -> None:
+    """Raise unless ``rec`` maps record field names to valid values.
+
+    The one rule set for records: ``MeasurementRecord`` applies it to its
+    fields and ``iter_records`` to each parsed line.  ``temperature`` may
+    be absent (it defaults to None); any other missing or unknown field is
+    a TypeError, a bad value a ValueError.  The ``type(...) is`` tests are
+    fast paths for what JSON gives; the helpers decide the rest.
+    """
+    if type(rec) is not dict:
+        raise TypeError(f"a record must be a JSON object, got "
+                        f"{type(rec).__name__}")
+    if not (len(rec) == len(_RECORD_FIELDS)
+            and _RECORD_FIELDS.issuperset(rec)):
+        missing = sorted(_REQUIRED_FIELDS - rec.keys())
+        unknown = sorted(rec.keys() - _RECORD_FIELDS)
+        if missing or unknown:
+            raise TypeError(f"missing fields {missing}, unknown fields "
+                            f"{unknown}")
+    if rec["search_space"] not in ("tss", "sss"):
+        raise ValueError(f"bad search_space {rec['search_space']!r}")
+    if rec["stage"] not in STAGES:
+        raise ValueError(f"bad stage {rec['stage']!r}")
+    if rec["split"] not in SPLITS:
+        raise ValueError(f"bad split {rec['split']!r}")
+    arch = rec["arch_index"]
+    if type(arch) is not int and not _is_int(arch) or arch < 0:
+        raise ValueError(f"arch_index must be an integer >= 0, got {arch!r}")
+    bins = rec["bin_count"]
+    if (rec["metric"] in BIN_METRICS) != (bins is not None):
+        raise ValueError("bin_count must be present exactly for "
+                         f"bin-based metrics (metric={rec['metric']!r})")
+    if bins is not None and (type(bins) is not int and not _is_int(bins)
+                             or bins < 1):
+        raise ValueError(f"bin_count must be an integer >= 1, got {bins!r}")
+    value = rec["value"]
+    if not (type(value) is float and math.isfinite(value)
+            or _is_finite_real(value)):
+        raise ValueError(f"value must be a finite real number, got "
+                         f"{value!r}")
+    temp = rec.get("temperature")
+    if temp is not None and not (_is_finite_real(temp) and temp > 0):
+        raise ValueError(f"temperature must be None or a finite number "
+                         f"> 0, got {temp!r}")
 
 
 @dataclass
@@ -169,7 +220,10 @@ def atomic_output(path):
     (0o666 less the umask), not the 0o600 of ``mkstemp``.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:  # name the output, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     os.close(fd)
     try:
         yield tmp
@@ -191,19 +245,36 @@ def write_records(records: Sequence[MeasurementRecord], path) -> None:
             fh.write("\n")
 
 
-def read_records(path) -> List[MeasurementRecord]:
-    records = []
-    with open(path) as fh:
+_DECODER = json.JSONDecoder()
+
+
+def iter_records(path) -> Iterator[dict]:
+    """Stream a records JSONL file as checked plain dicts, one per line.
+
+    Blank lines are skipped.  Every other line must be one UTF-8 JSON
+    object that passes ``check_record``; the first that does not raises
+    ValueError naming ``path:line``.  A missing ``temperature`` is set to
+    None.
+    """
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                records.append(MeasurementRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
+                text = line.decode().strip()
+                if not text:
+                    continue
+                rec, end = _DECODER.raw_decode(text)
+                if end != len(text):
+                    raise ValueError(f"extra data at column {end + 1}")
+                check_record(rec)
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad record: {exc}") \
                     from None
-    return records
+            rec.setdefault("temperature", None)
+            yield rec
+
+
+def read_records(path) -> List[MeasurementRecord]:
+    return [MeasurementRecord(**rec) for rec in iter_records(path)]
 
 
 def metric_key(record: MeasurementRecord) -> str:

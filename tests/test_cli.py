@@ -510,6 +510,62 @@ def test_report_rerun_is_byte_identical(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_report_bad_record_names_the_line(tmp_path, capsys):
+    records = tmp_path / "r.jsonl"
+    rec = MeasurementRecord("d", "tss", 0, "ece", 15, "pre", "test", 0.1)
+    line = json.dumps({**rec.to_dict(), "arch_index": "0"})
+    records.write_text(json.dumps(rec.to_dict()) + "\n" + line + "\n")
+    rc = main(["report", "--records", str(records),
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {records}:2: bad record: arch_index must be an integer")
+
+
+def test_search_names_a_string_arch_index(tmp_path, capsys):
+    # once read as "no architecture has both accuracy and ece records"
+    arch = enumerate_tss()[0].to_string()
+    bench_path = tmp_path / "bench.jsonl"
+    write_benchmark(TabularBenchmark(
+        "tss", {arch: {"accuracy": 0.5, "ece": 0.1}}), str(bench_path))
+    bench_path.write_text(bench_path.read_text().replace(
+        '"arch_index":0', '"arch_index":"0"'))
+    rc = main(["search", "--benchmark", str(bench_path), "--budget", "1",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {bench_path}:1: bad record: arch_index must be an integer")
+
+
+def _index_missing(tmp_path):
+    arch = enumerate_tss()[0].to_string()
+    bench_path = tmp_path / "bench.jsonl"
+    write_benchmark(TabularBenchmark(
+        "tss", {arch: {"accuracy": 0.5, "ece": 0.1}}), str(bench_path))
+    (tmp_path / "bench.index.json").unlink()
+    return (["search", "--benchmark", str(bench_path), "--budget", "1",
+             "--out", str(tmp_path / "r.json")],
+            str(tmp_path / "bench.index.json"))
+
+
+@pytest.mark.parametrize("case", ["report", "enumerate", "search"])
+def test_system_errors_name_the_file(tmp_path, capsys, case):
+    if case == "report":
+        missing = str(tmp_path / "nope.jsonl")
+        argv = ["report", "--records", missing,
+                "--out", str(tmp_path / "r.csv")]
+    elif case == "enumerate":
+        missing = str(tmp_path / "no" / "dir" / "x.txt")
+        argv = ["enumerate", "--out", missing]
+    else:
+        argv, missing = _index_missing(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err == f"error: {missing}: No such file or directory\n"
+
+
 # ---------------------------------------------------------------------------
 # process-level behaviour
 # ---------------------------------------------------------------------------

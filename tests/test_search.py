@@ -1,5 +1,7 @@
 """Tests for synthetic benchmarks, objectives, and the three searchers."""
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +180,29 @@ def test_load_benchmark_error_cases(tmp_path):
 
     write_records(mixed[:1], path)  # accuracy but never ece
     with pytest.raises(ValueError, match="both accuracy and ece"):
+        load_benchmark(path)
+
+
+@pytest.mark.parametrize("index, message", [
+    ({"ARCH": "zero"}, "arch_index of 'ARCH' must be an integer >= 0"),
+    ({"ARCH": 0.0}, "arch_index of 'ARCH' must be an integer >= 0"),
+    ({"ARCH": 0, "OTHER": 0}, "'ARCH' and 'OTHER' share arch_index 0"),
+    (["ARCH"], "not a JSON object"),
+    ("{", "not a JSON index"),
+])
+def test_load_benchmark_names_the_bad_index(tmp_path, index, message):
+    from calibrex import MeasurementRecord, write_records
+    arch = enumerate_tss()[0].to_string()
+    path = str(tmp_path / "r.jsonl")
+    write_records([
+        MeasurementRecord("b", "tss", 0, "accuracy", None, "pre", "test", 0.9),
+        MeasurementRecord("b", "tss", 0, "ece", 15, "pre", "test", 0.1),
+    ], path)
+    index_path = tmp_path / "r.index.json"
+    text = index if isinstance(index, str) else json.dumps(index)
+    index_path.write_text(text.replace("ARCH", arch))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{index_path}: {message.replace('ARCH', arch)}")):
         load_benchmark(path)
 
 
@@ -362,3 +387,93 @@ def test_searchers_optimize_other_objectives():
         result = regularized_evolution(bench, obj,
                                        SearchConfig(budget=150, seed=1))
         check_common_contract(result, bench, 150)
+
+
+def test_hcs_range_error_comes_before_the_search():
+    # a 1-step search with seed 0 visits archs[3] only, so the one arch out
+    # of range is never visited; the objective is still scored up front
+    bench = small_bench()
+    bench.metrics[bench.archs[0]]["accuracy"] = 1.5
+    config = SearchConfig(budget=1, seed=0)
+    assert random_search(bench, make_objective("acc"), config).best_arch == \
+        bench.archs[3]
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        random_search(bench, make_objective("hcs"), config)
+
+
+def test_partial_benchmark_search_names_the_missing_arch(tmp_path):
+    path = str(tmp_path / "bench.jsonl")
+    write_benchmark(small_bench(), path)
+    bench = load_benchmark(path)
+    # local search starts where random draw 0 lands and scans its first
+    # neighbor, which a 6-arch benchmark lacks
+    start = bench.archs[int(np.random.default_rng(4).integers(len(bench)))]
+    missing = neighbors(parse_arch(start))[0].to_string()
+    assert missing not in bench.metrics
+    with pytest.raises(KeyError) as info:
+        local_search(bench, make_objective("acc"), SearchConfig(20, seed=4))
+    assert info.value.args == (f"architecture {missing!r} not in benchmark",)
+
+
+# sha256 of each search's result JSON, as `calibrex search` writes it,
+# computed at the commit before the objective was scored up front
+GOLDEN_SEARCH_SHA256 = {
+    ("tss", "rs", "acc"):
+        "f1a6ba6a4fd632fc50198c3e741730c1dabc3760c0a3bebc0ea08bbc25283322",
+    ("tss", "rs", "ece"):
+        "e95c2f0e1fe6a60c27ee60d17f799c4eeb550d7d16012d19c5aa97048ddf7527",
+    ("tss", "rs", "hcs"):
+        "89ef3350c39c6185dbb9a99cbfc0eba228348777231986c9dd3b83074a6178cb",
+    ("tss", "re", "acc"):
+        "b0be823e0994d5140c593f51c87fe8ff65dc47a8739470dc1ae2ede541b26b96",
+    ("tss", "re", "ece"):
+        "c67948f07b1eae39c95671af5239acce7c15439e7fa13fb2612a3cec986c9f36",
+    ("tss", "re", "hcs"):
+        "7f7492fb7cca26e0737dd9cdc490fbeebc19d4880f82d6113c13d209047530f9",
+    ("tss", "ls", "acc"):
+        "af0efd35fe3f57b90b13f2e2e5daeb12acb4118b0ae720dc73728428af0c69c3",
+    ("tss", "ls", "ece"):
+        "1ed979d01af69c0ee98c3bcb1a3c161f88261f87ec881699f56b4e81f051d484",
+    ("tss", "ls", "hcs"):
+        "49cb31a5c165eee2b863d1a091090e19e16af6be2c4fd0bfeb018aa828ec421f",
+    ("sss", "rs", "acc"):
+        "ac7329bdb89860dcf84e14d485b343a7e7412f3558a7acc8e0473eb561ba0332",
+    ("sss", "rs", "ece"):
+        "79f93ffde97f5e593f49237eda8cb942869087a676879412524a2e4039a9f6d8",
+    ("sss", "rs", "hcs"):
+        "f9ad64ca20b9e9c7c5d5a7b0f3167ccbec3c02ecc72e31c83383201125b3b0cb",
+    ("sss", "re", "acc"):
+        "158cb1a52feffcb848d6a3c2dfa115d96aea68ec178f9fa462504aa3ccfb686c",
+    ("sss", "re", "ece"):
+        "409ba325e492185e8cc0048ad413590222296b831877bfba78603871cbec3129",
+    ("sss", "re", "hcs"):
+        "8670e80468eb216f0d2ee0e82db40cd736b0baec60c58edf7a4097c90b04df8a",
+    ("sss", "ls", "acc"):
+        "7ab210575aeb432d49f7e1ec6a29b4b5729d2e0922251b662b559183d9661402",
+    ("sss", "ls", "ece"):
+        "15badadadf71cf36c88fe6cda111995325cc876ae0492f935c192dfc1c45f6dc",
+    ("sss", "ls", "hcs"):
+        "d2b57d25de94a73ea9dfa807ca73eb2feaeeb1067375ae1ea6b9dbe375ea71b2",
+}
+ALGOS = {"rs": random_search, "re": regularized_evolution, "ls": local_search}
+
+
+@pytest.fixture(scope="module")
+def loaded_synth(tmp_path_factory):
+    """A synthetic benchmark per space, written to disk and loaded back."""
+    out = {}
+    for space in ("tss", "sss"):
+        path = str(tmp_path_factory.mktemp(space) / "bench.jsonl")
+        write_benchmark(synth_benchmark(space, seed=11), path)
+        out[space] = load_benchmark(path)
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_SEARCH_SHA256))
+def test_search_results_match_golden_bytes(loaded_synth, key):
+    space, algo, objective = key
+    result = ALGOS[algo](loaded_synth[space], make_objective(objective),
+                         SearchConfig(budget=400, seed=5))
+    text = json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        GOLDEN_SEARCH_SHA256[key]

@@ -1,5 +1,6 @@
 """Tests for the measurement-suite runner and the JSONL record format."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,72 @@ def test_read_records_reports_bad_lines(tmp_path):
     path.write_text(good + "\n" + good.replace('"test"', '"train"') + "\n")
     with pytest.raises(ValueError, match=r":2: bad record"):
         read_records(path)
+
+
+GOOD_RECORD = dict(benchmark_dataset="d", search_space="tss", arch_index=4,
+                   metric="ece", bin_count=15, stage="pre", split="test",
+                   value=0.1, temperature=None)
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("arch_index", "0", "arch_index must be an integer >= 0"),
+    ("arch_index", 0.5, "arch_index must be an integer >= 0"),
+    ("arch_index", True, "arch_index must be an integer >= 0"),
+    ("arch_index", -3, "arch_index must be an integer >= 0"),
+    ("bin_count", 0, "bin_count must be an integer >= 1"),
+    ("bin_count", "15", "bin_count must be an integer >= 1"),
+    ("value", True, "value must be a finite real number"),
+    ("temperature", "hot", "temperature must be None or a finite number"),
+    ("temperature", 0.0, "temperature must be None or a finite number"),
+])
+def test_read_records_rejects_bad_field_values(tmp_path, field, bad,
+                                               message):
+    path = tmp_path / "r.jsonl"
+    good = json.dumps(GOOD_RECORD)
+    path.write_text(good + "\n\n" + json.dumps({**GOOD_RECORD, field: bad})
+                    + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "
+                       f"bad record: {message}"):
+        read_records(path)
+    # one rule set: the record type rejects the same value
+    with pytest.raises(ValueError, match=message):
+        MeasurementRecord(**{**GOOD_RECORD, field: bad})
+
+
+def test_record_check_accepts_numpy_integers_and_ints():
+    rec = MeasurementRecord(**{**GOOD_RECORD, "arch_index": np.int64(3),
+                               "bin_count": np.int32(5), "value": 1})
+    assert rec.arch_index == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"search_space": "tss"}', "missing fields"),
+    (json.dumps({**GOOD_RECORD, "extra": 1}), "unknown fields"),
+    ("[1, 2]", "must be a JSON object"),
+    (json.dumps(GOOD_RECORD) + " 7", "extra data"),
+], ids=["missing", "unknown", "not-object", "extra-data"])
+def test_read_records_rejects_bad_shapes(tmp_path, text, message):
+    path = tmp_path / "r.jsonl"
+    path.write_text(text + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "
+                       f"bad record: .*{message}"):
+        read_records(path)
+
+
+def test_read_records_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "r.jsonl"
+    good = json.dumps(GOOD_RECORD).encode()
+    path.write_bytes(good + b"\n" + good.replace(b'"d"', b'"\xff"') + b"\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "
+                       "bad record: .*utf-8"):
+        read_records(path)
+
+
+def test_read_records_defaults_a_missing_temperature(tmp_path):
+    path = tmp_path / "r.jsonl"
+    rec = {k: v for k, v in GOOD_RECORD.items() if k != "temperature"}
+    path.write_text(json.dumps(rec) + "\n")
+    assert read_records(path) == [MeasurementRecord(**rec)]
 
 
 def test_read_records_skips_blank_lines(tmp_path):
