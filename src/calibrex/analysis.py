@@ -43,11 +43,6 @@ class MetricTable:
                            f"{sorted(self.columns)}")
         return self.columns[name]
 
-    def select(self, row_idx) -> "MetricTable":
-        idx = np.asarray(row_idx, dtype=np.int64)
-        return MetricTable(self.arch_index[idx],
-                           {k: v[idx] for k, v in self.columns.items()})
-
 
 # Rows are padded to a power of two; the first merge level counts
 # inversions inside blocks of this size by direct comparison.
@@ -186,7 +181,9 @@ def top_k_by(table: MetricTable, column: str, k: int,
     v = table.column(column)
     sign = -1.0 if largest else 1.0
     order = np.lexsort((table.arch_index, sign * v))
-    return table.select(order[:min(k, table.n_rows)])
+    idx = order[:min(k, table.n_rows)]
+    return MetricTable(table.arch_index[idx],
+                       {name: v[idx] for name, v in table.columns.items()})
 
 
 def hcs(accuracy, ece, beta: float = 1.0):

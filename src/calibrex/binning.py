@@ -159,13 +159,19 @@ def _top_label(preds: PredictionSet):
     (confidence, correctness), so every consumer sees the same order whatever
     the input order.  ``run_suite`` builds this once per stage and hands it to
     the binned kernel, ``ksce``, ``mmce`` and ``kdece``.
+
+    The order comes from two float sorts and one merge: the misses'
+    confidences and the hits' are sorted apart and laid end to end, and a
+    stable argsort of those two runs merges them (ties keep misses first).
     """
     _require_probs(preds)
     pred = preds.predicted_class()
     conf = preds.scores[np.arange(preds.n_samples), pred]
-    correct = (pred == preds.labels).astype(np.float64)
-    order = np.lexsort((correct, conf))
-    return conf[order], correct[order]
+    is_hit = pred == preds.labels
+    runs = np.concatenate((np.sort(conf[~is_hit]), np.sort(conf[is_hit])))
+    order = np.argsort(runs, kind="stable")
+    n_miss = runs.size - np.count_nonzero(is_hit)
+    return runs[order], (order >= n_miss).astype(np.float64)
 
 
 def _sorted_columns(preds: PredictionSet, top, classwise: bool):
@@ -187,7 +193,13 @@ def _sorted_columns(preds: PredictionSet, top, classwise: bool):
         rows.append(preds.scores.T)
         labels = preds.labels
         p_true = preds.scores[np.arange(preds.n_samples), labels]
-        by_label = p_true[np.lexsort((p_true, labels))]
+        # sorted by (label, score): sort the scores, then stable-sort by
+        # label, a radix sort once the labels fit in int16
+        order = np.argsort(p_true)
+        keys = labels[order]
+        if preds.n_classes <= np.iinfo(np.int16).max:
+            keys = keys.astype(np.int16)
+        by_label = p_true[order[np.argsort(keys, kind="stable")]]
         ends = np.cumsum(np.bincount(labels, minlength=preds.n_classes))
         hits += np.split(by_label, ends[:-1])
     cols = np.concatenate(rows)
@@ -232,16 +244,19 @@ def _binned_errors(cols: np.ndarray, hits, bin_counts, p: float = 1.0):
     np.cumsum(cols, axis=1, out=cum[:, 1:])
     conf_at = np.take_along_axis(cum, pos, axis=1)
 
+    # every bin of every block at once; the differences across a block
+    # boundary (a +inf edge, then the next -inf one) are never read
+    counts = np.diff(pos)
+    gaps = np.abs(np.diff(hit_pos) - np.diff(conf_at))
+    gaps /= np.maximum(counts, 1)
+    terms = counts / n * gaps ** p
     out = {}
     start = 0
     for scheme, m, _ in blocks:
-        edges = slice(start, start + m + 1)
+        bins = slice(start, start + m)
         start += m + 1
-        counts = np.diff(pos[:, edges])
-        gaps = np.abs(np.diff(hit_pos[:, edges]) - np.diff(conf_at[:, edges]))
-        gaps /= np.maximum(counts, 1)
-        out[scheme, m] = (np.sum(counts / n * gaps ** p, axis=1),
-                          gaps.max(axis=1))
+        out[scheme, m] = (np.sum(terms[:, bins], axis=1),
+                          gaps[:, bins].max(axis=1))
     return out
 
 

@@ -41,20 +41,31 @@ def _read_predictions(path: str, fmt: str):
 def _read_confidences(path: str) -> np.ndarray:
     if not os.path.exists(path):
         raise OSError(f"no such file: {path}")
-    values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: "
-                                 f"{line!r}") from None
-    if not values:
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:  # its args[0] would be "utf-8"
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        values = _load_confidences(lines)
+    except ValueError:
+        lineno = _first_bad_line(lines, _load_confidences)
+        raise ValueError(f"{path}:{lineno}: not a number: "
+                         f"{lines[lineno - 1].strip()!r}") from None
+    if values.size == 0:
         raise ValueError(f"{path}: no confidence values")
-    return np.asarray(values)
+    return values
+
+
+def _load_confidences(lines) -> np.ndarray:
+    """One number per line; blank and whitespace-only lines are skipped."""
+    with warnings.catch_warnings():
+        # no values at all is the caller's "no confidence values" error
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    if data.shape[1] != 1:  # whitespace split every line in two or more
+        raise ValueError("more than one number on a line")
+    return data[:, 0]
 
 
 def _eval_one(task):
@@ -132,25 +143,31 @@ def _load_table_rows(rows, dtype) -> np.ndarray:
 
 
 def _bad_table_line(path: str, dtype) -> int:
-    """File line of the first table row that ``_load_table_rows`` rejects.
-
-    Runs only after a load failed.  A prefix of the body fails exactly when
-    it holds a bad row, so bisecting on prefix length finds that row.
-    """
+    """File line of the first table row that ``_load_table_rows`` rejects."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         header_lines = reader.line_num
         body = fh.readlines()
-    good, bad = 0, len(body)  # body[:good] loads, body[:bad] does not
+    return header_lines + _first_bad_line(
+        body, lambda rows: _load_table_rows(rows, dtype))
+
+
+def _first_bad_line(lines, load) -> int:
+    """1-based index of the first of ``lines`` that ``load`` rejects.
+
+    Runs only after ``load(lines)`` failed.  A prefix fails exactly when it
+    holds a bad line, so bisecting on prefix length finds that line.
+    """
+    good, bad = 0, len(lines)  # lines[:good] loads, lines[:bad] does not
     while bad - good > 1:
         mid = (good + bad) // 2
         try:
-            _load_table_rows(body[:mid], dtype)
+            load(lines[:mid])
             good = mid
         except ValueError:
             bad = mid
-    return header_lines + bad
+    return bad
 
 
 def cmd_correlate(args) -> int:
@@ -238,16 +255,21 @@ def cmd_report(args) -> int:
         edges = [float(x) for x in args.brackets.split(",")]
         space = archspace.enumerate_sss()
         labels = _bracket_labels(edges)
+        label_of = {}  # arch_index -> its bracket label
 
         def group_of(rec):
             if rec["search_space"] != "sss":
                 raise ValueError("size brackets need sss records (model "
                                  "size is the channel sum)")
-            if rec["arch_index"] >= len(space):
-                raise ValueError(f"arch_index {rec['arch_index']} outside "
-                                 "the sss space")
-            size = archspace.model_size(space[rec["arch_index"]])
-            return labels[int(analysis.size_brackets([size], edges)[0])]
+            arch = rec["arch_index"]
+            if arch not in label_of:
+                if arch >= len(space):
+                    raise ValueError(f"arch_index {arch} outside the sss "
+                                     "space")
+                size = archspace.model_size(space[arch])
+                label_of[arch] = labels[
+                    int(analysis.size_brackets([size], edges)[0])]
+            return label_of[arch]
     groups = {}
     for rec in suite.iter_records(args.records):
         groups.setdefault(group_of(rec), []).append(rec["value"])

@@ -62,9 +62,10 @@ def mmce(preds: PredictionSet, bandwidth: float = MMCE_BANDWIDTH) -> float:
     K_ij = exp(-|conf_i - conf_j| / bandwidth).  With confidences sorted,
     the off-diagonal part is sum_i c_i S_i with the decaying recurrence
     S_i = exp(-(conf_i - conf_{i-1}) / bandwidth) * (S_{i-1} + c_{i-1}),
-    S_0 = 0.  Every factor lies in (0, 1], so this is exact, O(N) after the
-    sort, and cannot overflow at any bandwidth.  The Gram matrix is PSD so
-    the form is clamped at 0 before the root.
+    S_0 = 0.  Every factor lies in (0, 1], so this is exact and cannot
+    overflow at any bandwidth; a prefix scan evaluates it in about log2 N
+    numpy passes after the sort.  The Gram matrix is PSD so the form is
+    clamped at 0 before the root.
     """
     _require_probs(preds)
     if not bandwidth > 0:
@@ -75,12 +76,17 @@ def mmce(preds: PredictionSet, bandwidth: float = MMCE_BANDWIDTH) -> float:
 def _mmce(conf: np.ndarray, correct: np.ndarray,
           bandwidth: float = MMCE_BANDWIDTH) -> float:
     c = correct - conf
-    decay = np.exp(-np.diff(conf) / bandwidth).tolist()
-    s = 0.0
-    cross = 0.0
-    for d, prev, cur in zip(decay, c[:-1].tolist(), c[1:].tolist()):
-        s = d * (s + prev)
-        cross += cur * s
+    # S_i = a_i S_{i-1} + b_i with (a_i, b_i) = (d_i, d_i c_{i-1}), S_0 = 0:
+    # a log-step (Hillis-Steele) scan composes the maps over spans of 1, 2,
+    # 4, ... samples, after which b_i is S_i.  Every a stays in (0, 1].
+    a = np.exp(-np.diff(conf) / bandwidth)
+    b = a * c[:-1]
+    span = 1
+    while span < a.size:
+        b[span:] = a[span:] * b[:-span] + b[span:]
+        a[span:] = a[span:] * a[:-span]
+        span *= 2
+    cross = float(np.dot(c[1:], b))
     total = 2.0 * cross + float(np.dot(c, c))
     return float(np.sqrt(max(total, 0.0)) / conf.size)
 
@@ -145,7 +151,7 @@ def _kdece(conf: np.ndarray, correct: np.ndarray,
 
 
 def _kde_sums(conf, correct, z, h, g0, g1):
-    """Unscaled density and accuracy sums on ``z``, grid offset by offset.
+    """Density and accuracy sums on ``z``, grid offset by offset.
 
     Step d evaluates every sample at its grid point g0_i + d, for the
     samples whose window is wider than d.  Sorting the samples by window
@@ -154,11 +160,18 @@ def _kde_sums(conf, correct, z, h, g0, g1):
     nondecreasing, so samples sharing a grid point form runs.  Each step
     sums the runs with ``add.reduceat`` and scatters the run sums with two
     ``bincount`` calls.
+
+    The grid and the confidences are divided by h once, so a step computes
+    u = z/h - conf/h, then max(1 - u*u, 0) cubed by two multiplies.  Both
+    sums are linear in the triweight's constant 35/32 and the kernel's 1/h,
+    so that factor scales them once, after the loop.
     """
     grid = z.size
     width = g1 - g0
     order = np.lexsort((correct, -width))
-    width, g0, c, hit = width[order], g0[order], conf[order], correct[order]
+    width, g0, hit = width[order], g0[order], correct[order]
+    ch = conf[order] / h
+    zh = z / h
     starts = np.flatnonzero(np.r_[True, (width[1:] != width[:-1])
                                   | (hit[1:] != hit[:-1])
                                   | (g0[1:] != g0[:-1])])
@@ -169,24 +182,23 @@ def _kde_sums(conf, correct, z, h, g0, g1):
     dens = np.zeros(grid)
     acc_num = np.zeros(grid)
     g = np.empty_like(g0)
-    u = np.empty_like(c)
+    u = np.empty_like(ch)
+    sq = np.empty_like(ch)
     for d, (m, r) in enumerate(zip(active.tolist(), active_runs.tolist())):
         gd = np.add(g0[:m], d, out=g[:m])
-        # u = (z - conf) / h, then the triweight (35/32)(1 - u^2)^3 on
-        # [-1, 1], scaled by 1/h
-        w = np.take(z, gd, out=u[:m])
-        np.subtract(w, c[:m], out=w)
-        np.divide(w, h, out=w)
+        w = np.take(zh, gd, out=u[:m])
+        np.subtract(w, ch[:m], out=w)
         np.multiply(w, w, out=w)
         np.subtract(1.0, w, out=w)
-        np.clip(w, 0.0, None, out=w)
-        np.power(w, 3, out=w)
-        np.multiply(35.0 / 32.0, w, out=w)
-        np.divide(w, h, out=w)
+        np.maximum(w, 0.0, out=w)
+        np.multiply(w, np.multiply(w, w, out=sq[:m]), out=w)
         run_sums = np.add.reduceat(w, starts[:r])
         at = run_g0[:r] + d
         dens += np.bincount(at, run_sums, minlength=grid)
         acc_num += np.bincount(at, run_sums * run_hit[:r], minlength=grid)
+    scale = 35.0 / (32.0 * h)
+    dens *= scale
+    acc_num *= scale
     return dens, acc_num
 
 
@@ -198,23 +210,12 @@ def lp_ce(preds: PredictionSet, p: float, bins: int,
     return _binned(preds, bins, scheme, False, 0, p) ** (1.0 / p)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their positions."""
-    order = np.argsort(values, kind="stable")
-    srt = values[order]
-    new = np.r_[True, srt[1:] != srt[:-1]]
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], srt.size)
-    ranks = np.empty(srt.size)
-    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(new) - 1]
-    return ranks
-
-
 def auroc(pos_scores, neg_scores) -> float:
     """Probability a positive score outranks a negative one (ties count 0.5).
 
-    Computed from the rank-sum statistic, so it matches the area under the
-    ROC curve exactly.
+    The Mann-Whitney U statistic, sum_p #(neg < p) + 0.5 #(neg == p), comes
+    from two ``searchsorted`` calls on the sorted negatives, so it is an
+    exact half-integer and the value is the area under the ROC curve.
     """
     pos = np.asarray(pos_scores, dtype=np.float64).ravel()
     neg = np.asarray(neg_scores, dtype=np.float64).ravel()
@@ -222,6 +223,8 @@ def auroc(pos_scores, neg_scores) -> float:
         raise ValueError("both score sets must be non-empty")
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
         raise ValueError("scores must be finite")
-    ranks = _average_ranks(np.concatenate([pos, neg]))
-    u = ranks[:pos.size].sum() - pos.size * (pos.size + 1) / 2.0
+    neg = np.sort(neg)
+    below = np.searchsorted(neg, pos, side="left").sum()
+    not_above = np.searchsorted(neg, pos, side="right").sum()
+    u = 0.5 * float(below + not_above)
     return float(u / (pos.size * neg.size))

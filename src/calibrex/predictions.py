@@ -141,13 +141,11 @@ class SplitSpec:
     """Validation/test split request.
 
     fraction is the validation share; the permutation is drawn from
-    ``np.random.default_rng(seed)``.  With ``stratified`` the validation
-    set preserves per-label proportions (largest-remainder allocation).
+    ``np.random.default_rng(seed)``.
     """
 
     fraction: float = 0.2
     seed: int = 0
-    stratified: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.fraction < 1.0:
@@ -171,34 +169,8 @@ def split(preds: PredictionSet, spec: SplitSpec) -> tuple[PredictionSet, Predict
         raise ValueError(f"need at least 5 samples to split, got {n}")
     n_val = int(round(n * spec.fraction))
     n_val = min(max(n_val, 1), n - 1)
-    rng = np.random.default_rng(spec.seed)
-    if not spec.stratified:
-        perm = rng.permutation(n)
-        return _take(preds, perm[:n_val]), _take(preds, perm[n_val:])
-
-    # per-class largest-remainder allocation, then per-class shuffled prefixes
-    labels = preds.labels
-    classes = np.unique(labels)
-    exact = {int(c): np.sum(labels == c) * spec.fraction for c in classes}
-    alloc = {c: int(np.floor(x)) for c, x in exact.items()}
-    short = n_val - sum(alloc.values())
-    order = sorted(exact, key=lambda c: (-(exact[c] - np.floor(exact[c])), c))
-    for c in order:
-        if short <= 0:
-            break
-        if alloc[c] < np.sum(labels == c):
-            alloc[c] += 1
-            short -= 1
-    val_idx = []
-    test_idx = []
-    for c in classes:
-        members = np.flatnonzero(labels == c)
-        members = members[rng.permutation(len(members))]
-        val_idx.append(members[:alloc[int(c)]])
-        test_idx.append(members[alloc[int(c)]:])
-    val_idx = np.sort(np.concatenate(val_idx))
-    test_idx = np.sort(np.concatenate(test_idx))
-    return _take(preds, val_idx), _take(preds, test_idx)
+    perm = np.random.default_rng(spec.seed).permutation(n)
+    return _take(preds, perm[:n_val]), _take(preds, perm[n_val:])
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,9 @@ def load_benchmark(records_path: str,
     """Join suite JSONL records with the arch-string index.
 
     Accuracy comes from "accuracy" records and ECE from "ece" records of
-    the pre stage (any bin count; the smallest wins if several).  The
-    records are streamed: every line is checked, none is kept.
+    the pre stage on the test split (any bin count; the smallest wins if
+    several); records of other stages or splits are ignored.  The records
+    are streamed: every line is checked, none is kept.
     """
     if index_path is None:
         index_path = default_index_path(records_path)
@@ -219,7 +220,8 @@ def load_benchmark(records_path: str,
     ece_bins: Dict[str, int] = {}
     for rec in iter_records(records_path):
         spaces.add(rec["search_space"])
-        if rec["stage"] != "pre" or rec["arch_index"] not in by_index:
+        if rec["stage"] != "pre" or rec["split"] != "test" \
+                or rec["arch_index"] not in by_index:
             continue
         arch = by_index[rec["arch_index"]]
         slot = metrics.setdefault(arch, {})

@@ -185,9 +185,10 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
                                  temperature)
 
     records = []
+    tops = {}
     for stage, probs, tval in stages:
         # one argmax and one canonical sort serve every top-label metric
-        top = binning._top_label(probs)
+        top = tops[stage] = binning._top_label(probs)
         binned = binning._binned_metrics(probs, top, config.bin_metrics,
                                          config.bin_sizes)
         for metric in config.bin_metrics:
@@ -201,7 +202,7 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
             # a 0/1 sum is exact in any order: the bits of probs.accuracy()
             records.append(rec("accuracy", None, stage, top[1].mean(), tval))
     if config.ood_inputs is not None:
-        pos = pre.top_confidence()
+        pos = tops["pre"][0]  # sorted, which speeds up auroc's search
         for tag, ood in zip(("a", "b"), config.ood_inputs):
             neg = np.asarray(ood, dtype=np.float64)
             if neg.ndim != 1 or neg.size == 0:

@@ -20,7 +20,7 @@ from calibrex import (
     mce,
     reliability_data,
 )
-from calibrex.binning import binned_metrics
+from calibrex.binning import _top_label, binned_metrics
 from calibrex.suite import BIN_METRICS, DEFAULT_BIN_SIZES
 
 
@@ -374,6 +374,39 @@ def test_kernel_matches_loop_reference(name, preds):
         assert suite["mce", m] == mce(preds, m)
         assert suite["cwce", m] == cwce(preds, m)
         assert suite["cwce_em", m] == cwce_em(preds, m)
+
+
+def top_label_cases():
+    rng = np.random.default_rng(31)
+    k = 3
+    # equal confidences with mixed correctness, in both input orders
+    tied = np.array([[0.5, 0.3, 0.2], [0.5, 0.2, 0.3], [0.4, 0.4, 0.2],
+                     [0.6, 0.2, 0.2], [0.5, 0.25, 0.25], [0.6, 0.3, 0.1]])
+    yield "ties", PredictionSet(tied, [0, 1, 0, 2, 0, 0],
+                                is_probabilities=True)
+    yield "ties reversed", PredictionSet(tied[::-1], [0, 0, 2, 0, 1, 0],
+                                         is_probabilities=True)
+    few = np.eye(k)[rng.integers(0, k, 40)] * 0.4 + 0.2
+    yield "all hits", PredictionSet(few, few.argmax(1), is_probabilities=True)
+    yield "all misses", PredictionSet(few, (few.argmax(1) + 1) % k,
+                                      is_probabilities=True)
+    # a few hundred samples on 4 confidence levels, mixed correctness
+    levels = rng.dirichlet(np.ones(k), size=4)[rng.integers(0, 4, 300)]
+    yield "levels", PredictionSet(levels, rng.integers(0, k, 300),
+                                  is_probabilities=True)
+    yield "random", random_prob_preds(rng, 500, 4)
+
+
+@pytest.mark.parametrize("name,preds", list(top_label_cases()))
+def test_top_label_matches_lexsort_reference(name, preds):
+    pred = preds.scores.argmax(axis=1)
+    conf = preds.scores[np.arange(preds.n_samples), pred]
+    correct = (pred == preds.labels).astype(np.float64)
+    order = np.lexsort((correct, conf))
+    got_conf, got_correct = _top_label(preds)
+    assert got_conf.dtype == got_correct.dtype == np.float64
+    assert got_conf.tobytes() == conf[order].tobytes()
+    assert got_correct.tobytes() == correct[order].tobytes()
 
 
 def test_binned_metrics_subsets_give_the_same_bits():

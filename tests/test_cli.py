@@ -153,6 +153,44 @@ def test_eval_bad_ood_content(tmp_path, logits_file, capsys):
     assert ":2: not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    ("0.5\n0.25 0.75\n", ":2: not a number: '0.25 0.75'"),
+    ("0.5 0.6\n0.25 0.75\n", ":1: not a number: '0.5 0.6'"),
+    ("0.5\n0.5,0.6\n", ":2: not a number: '0.5,0.6'"),
+    ("\n   \n0.5\n\t\nhello\n", ":5: not a number: 'hello'"),
+    ("", "no confidence values"),
+    ("\n  \n\t\n", "no confidence values"),
+    (b"0.5\n\xff\n", "can't decode byte 0xff"),
+])
+def test_eval_ood_lines_hold_one_number(tmp_path, logits_file, ood_files,
+                                        capsys, content, message):
+    bad = tmp_path / "ood.txt"
+    bad.write_bytes(content if isinstance(content, bytes)
+                    else content.encode())
+    out = str(tmp_path / "r.jsonl")
+    rc = main(["eval", "--logits", logits_file, "--ood-in", ood_files[0],
+               "--ood-out", str(bad), "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}")
+    assert message in err
+
+
+def test_eval_ood_skips_blank_and_whitespace_lines(tmp_path, logits_file,
+                                                  ood_files):
+    values = open(ood_files[1]).read().split()
+    spaced = tmp_path / "spaced.txt"
+    spaced.write_text("\n  \n" + "\n \t\n".join(f"  {v} " for v in values)
+                      + "\n\n")
+    outs = []
+    for name, ood_b in (("plain", ood_files[1]), ("spaced", str(spaced))):
+        outs.append(tmp_path / f"{name}.jsonl")
+        assert main(["eval", "--logits", logits_file, "--ood-in",
+                     ood_files[0], "--ood-out", ood_b, "--out",
+                     str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_eval_seed_env_fallback(tmp_path, logits_file, monkeypatch):
     flagged = str(tmp_path / "flag.jsonl")
     env = str(tmp_path / "env.jsonl")

@@ -241,6 +241,41 @@ def test_mmce_small_bandwidths_match_gram_matrix():
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
+def mmce_loop(conf, correct, bw):
+    """The S_i = d_i (S_{i-1} + c_{i-1}) recurrence, one sample at a time."""
+    c = correct - conf
+    decay = np.exp(-np.diff(conf) / bw).tolist()
+    s = cross = 0.0
+    for d, prev, cur in zip(decay, c[:-1].tolist(), c[1:].tolist()):
+        s = d * (s + prev)
+        cross += cur * s
+    return np.sqrt(max(2.0 * cross + float(np.dot(c, c)), 0.0)) / c.size
+
+
+def mmce_dense(conf, correct, bw, rows=500):
+    """sqrt(c^T K c) / N with the Gram matrix built a block of rows at a
+    time."""
+    c = correct - conf
+    total = 0.0
+    for lo in range(0, c.size, rows):
+        gram = np.exp(-np.abs(conf[lo:lo + rows, None] - conf[None, :]) / bw)
+        total += float(c[lo:lo + rows] @ gram @ c)
+    return np.sqrt(max(total, 0.0)) / c.size
+
+
+@pytest.mark.parametrize("bw", [0.4, 0.05, 1e-3, 1e-5])
+def test_mmce_scan_matches_loop_and_dense_oracle(bw):
+    # N=50,000 against the loop; the dense O(N^2) form on the first 3,000
+    rng = np.random.default_rng(23)
+    conf, correct = _top_label(random_prob_preds(rng, 50_000, 10))
+    got = continuous._mmce(conf, correct, bw)
+    assert np.isfinite(got)
+    assert got == pytest.approx(mmce_loop(conf, correct, bw), rel=1e-12)
+    sub = _top_label(random_prob_preds(rng, 3_000, 10))
+    assert continuous._mmce(*sub, bw) == pytest.approx(
+        mmce_dense(*sub, bw), rel=1e-10)
+
+
 def test_mmce_permutation_invariant_exactly():
     rng = np.random.default_rng(6)
     preds = random_prob_preds(rng, 80, 4)
@@ -437,6 +472,24 @@ def test_auroc_heavy_ties_match_pair_count_oracle():
     neg = rng.integers(0, 9, size=3_000).astype(float) / 11.0
     assert auroc(pos, neg) == pytest.approx(
         auroc_oracle(pos.tolist(), neg.tolist()), rel=1e-12, abs=1e-15)
+
+
+def auroc_exact(pos, neg):
+    """Pair counts in integers: U = #(neg < p) + #(neg == p) / 2 over p."""
+    pos = np.asarray(pos)[:, None]
+    neg = np.asarray(neg)[None, :]
+    twice_u = int(2 * (neg < pos).sum() + (neg == pos).sum())
+    return 0.5 * twice_u / (pos.size * neg.size)
+
+
+def test_auroc_is_exact_on_heavy_ties_and_identical_sets():
+    rng = np.random.default_rng(15)
+    pos = rng.integers(0, 5, size=3_000) / 4.0
+    neg = rng.integers(0, 3, size=2_000) / 4.0
+    assert auroc(pos, neg) == auroc_exact(pos, neg)
+    assert auroc(np.sort(pos), neg) == auroc(pos, neg)
+    for same in (pos, np.full(7, 0.3), rng.uniform(size=501)):
+        assert auroc(same, same[::-1]) == 0.5
 
 
 def test_auroc_handles_ties():

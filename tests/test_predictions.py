@@ -192,32 +192,6 @@ def test_split_is_deterministic_in_seed():
     assert not np.array_equal(v1.scores, v3.scores)
 
 
-def test_stratified_split_preserves_label_counts():
-    rng = np.random.default_rng(4)
-    labels = np.repeat([0, 1, 2], [60, 30, 10])
-    scores = rng.normal(size=(100, 3))
-    p = PredictionSet(scores, labels)
-    val, test = split(p, SplitSpec(fraction=0.2, seed=5, stratified=True))
-    assert val.n_samples == 20
-    assert [int(np.sum(val.labels == c)) for c in range(3)] == [12, 6, 2]
-    assert [int(np.sum(test.labels == c)) for c in range(3)] == [48, 24, 8]
-
-
-def test_stratified_split_largest_remainder():
-    # 7/3 split of 10 samples at fraction 0.25: exact shares 1.75 and 0.75,
-    # n_val = 2 after rounding; both classes get their floor then the larger
-    # remainder (class 0) takes the leftover seat.
-    rng = np.random.default_rng(6)
-    labels = np.array([0] * 7 + [1] * 3)
-    p = PredictionSet(rng.normal(size=(10, 2)), labels)
-    val, _ = split(p, SplitSpec(fraction=0.25, seed=0, stratified=True))
-    assert val.n_samples == 2  # round(10 * 0.25) with banker's rounding
-    counts = [int(np.sum(val.labels == c)) for c in range(2)]
-    assert counts == [2, 0] or counts == [1, 1]
-    # exact remainders: class0 .75 > class1 .75? equal -> class index breaks tie
-    assert counts == [2, 0]
-
-
 # ---------------------------------------------------------------------------
 # binary format
 # ---------------------------------------------------------------------------

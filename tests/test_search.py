@@ -164,6 +164,28 @@ def test_load_benchmark_prefers_smallest_ece_bin(tmp_path):
     assert bench.query(arch) == {"accuracy": 0.9, "ece": 0.10}
 
 
+def test_load_benchmark_reads_the_test_split_only(tmp_path):
+    # a val accuracy after the test one must not replace it
+    from calibrex import MeasurementRecord, write_records
+    arch = enumerate_tss()[0].to_string()
+    records = [
+        MeasurementRecord("b", "tss", 0, "accuracy", None, "pre", "test", 0.9),
+        MeasurementRecord("b", "tss", 0, "ece", 15, "pre", "test", 0.30),
+        MeasurementRecord("b", "tss", 0, "accuracy", None, "pre", "val", 0.2),
+        MeasurementRecord("b", "tss", 0, "ece", 5, "pre", "val", 0.10),
+    ]
+    path = str(tmp_path / "r.jsonl")
+    write_records(records, path)
+    (tmp_path / "r.index.json").write_text(json.dumps({arch: 0}))
+    bench = load_benchmark(path)
+    assert bench.query(arch) == {"accuracy": 0.9, "ece": 0.30}
+    # val records are still checked line by line
+    with open(path, "a") as fh:
+        fh.write(json.dumps({**records[2].to_dict(), "value": "x"}) + "\n")
+    with pytest.raises(ValueError, match=r"r\.jsonl:5: bad record"):
+        load_benchmark(path)
+
+
 def test_load_benchmark_error_cases(tmp_path):
     from calibrex import MeasurementRecord, write_records
     arch = enumerate_tss()[0].to_string()
