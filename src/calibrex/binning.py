@@ -21,6 +21,9 @@ import numpy as np
 from .predictions import PredictionSet
 
 SCHEMES = ("width", "mass")
+# rows per step of the binned kernel's arithmetic: at the default bin
+# counts its temporaries then stay under 128 KB each
+_ROWS_PER_STEP = 8
 
 
 @dataclass(frozen=True)
@@ -179,16 +182,18 @@ def _sorted_columns(preds: PredictionSet, top, classwise: bool):
 
     Rows are the top-label confidences (if ``top``, the state of
     ``_top_label``, is given) followed by the K class score columns (if
-    ``classwise``).  Alongside comes, per row, the sorted scores of that
-    row's hits: the correctly predicted samples for the top-label row, the
-    samples labelled k for class column k.
+    ``classwise``).  Alongside come the sorted scores of each row's hits,
+    laid end to end: the correctly predicted samples for the top-label
+    row, the samples labelled k for class column k.  Row j's hits are
+    ``hits[ends[j - 1]:ends[j]]`` (from 0 for the first row).
     """
     _require_probs(preds)
-    rows, hits = [], []
+    rows, hits, counts = [], [], []
     if top is not None:
         conf, correct = top
         rows.append(conf[None, :])
         hits.append(conf[correct == 1.0])
+        counts.append([hits[0].size])
     if classwise:
         rows.append(preds.scores.T)
         labels = preds.labels
@@ -199,25 +204,58 @@ def _sorted_columns(preds: PredictionSet, top, classwise: bool):
         keys = labels[order]
         if preds.n_classes <= np.iinfo(np.int16).max:
             keys = keys.astype(np.int16)
-        by_label = p_true[order[np.argsort(keys, kind="stable")]]
-        ends = np.cumsum(np.bincount(labels, minlength=preds.n_classes))
-        hits += np.split(by_label, ends[:-1])
-    cols = np.concatenate(rows)
+        hits.append(p_true[order[np.argsort(keys, kind="stable")]])
+        counts.append(np.bincount(labels, minlength=preds.n_classes))
+    # C order, so each row is contiguous: scores.T alone would make the
+    # concatenation column-major
+    cols = np.empty((sum(len(r) for r in rows), preds.n_samples))
+    np.concatenate(rows, out=cols)
     cols.sort(axis=1)
-    if cols[:, 0].min() < 0.0 or cols[:, -1].max() > 1.0:
-        raise ValueError("confidences must lie in [0, 1]")
-    return cols, hits
+    return cols, np.concatenate(hits), np.cumsum(np.concatenate(counts))
 
 
-def _binned_errors(cols: np.ndarray, hits, bin_counts, p: float = 1.0):
+def _edge_layout(bin_counts, n: int):
+    """The edges of every (bin count, scheme) block, as sources.
+
+    Returns the distinct equal-width edges, the distinct equal-mass cut
+    indices ``i*n//m`` (both ascending) and, per block ``width m`` then
+    ``mass m`` in ``bin_counts`` order, its m + 1 edges as column indices
+    into ``[-inf, +inf, widths..., cuts...]``.
+    """
+    widths, w_of = np.unique(np.concatenate(
+        [np.arange(1, m) / m for m in bin_counts]), return_inverse=True)
+    cuts, c_of = np.unique(np.concatenate(
+        [(np.arange(1, m) * n) // m for m in bin_counts]),
+        return_inverse=True)
+    c_of += 2 + widths.size
+    w_of += 2
+    parts, start = [], 0
+    for m in bin_counts:
+        for inner in (w_of, c_of):
+            parts += ([0], inner[start:start + m - 1], [1])
+        start += m - 1
+    return widths, cuts, np.concatenate(parts)
+
+
+def _binned_errors(cols: np.ndarray, hits: np.ndarray, ends: np.ndarray,
+                   bin_counts, p: float = 1.0):
     """Binned calibration errors of every row, at every bin count and scheme.
 
-    ``cols`` holds one sorted score column per row and ``hits[j]`` the
-    sorted scores of row j's hits (a sub-multiset of row j).  Edges become
-    positions by ``searchsorted(side="left")`` on the sorted row, so a bin
-    ``[e_i, e_{i+1})`` is a slice of it; the outer edges are -inf and +inf,
-    which closes the last bin at 1.  Bin counts, confidence sums and hit
-    counts are then differences of cumulative sums.
+    ``cols`` holds one sorted score column per row and row j's hits (a
+    sub-multiset of row j, sorted) are ``hits[ends[j-1]:ends[j]]``, as
+    ``_sorted_columns`` returns them.  Each edge becomes a position, the
+    number of row values below it, so a bin ``[e_i, e_{i+1})`` is a slice
+    of the sorted row; the outer edges are -inf and +inf (positions 0 and
+    n), which closes the last bin at 1.  Bin counts, confidence sums and
+    hit counts are then differences of cumulative sums.  ``cols`` is
+    overwritten: its rows become those cumulative sums.
+
+    The equal-width edges ``i/m`` are shared by every row; each distinct
+    one is searched once per row.  An interior equal-mass edge is the
+    row's own ``x_(i*n//m)``, so its position is its index ``i*n//m``
+    unless the value just before it is equal; only such tied edges are
+    searched.  Hit counts below the edges come from searches of the
+    row's hits.
 
     Returns ``{(scheme, m): (lp, mce)}`` with one value per row:
     ``lp = sum_b (n_b / n) * gap_b ** p`` (the ECE for p = 1) and ``mce``
@@ -227,36 +265,58 @@ def _binned_errors(cols: np.ndarray, hits, bin_counts, p: float = 1.0):
     rows or bin counts share the call.
     """
     c, n = cols.shape
-    blocks = []
-    for m in bin_counts:
-        blocks.append(("width", m, np.broadcast_to(np.arange(1, m) / m,
-                                                   (c, m - 1))))
-        blocks.append(("mass", m, cols[:, (np.arange(1, m) * n) // m]))
-    outer = np.full((c, 1), np.inf)
-    queries = np.concatenate([part for _, _, interior in blocks
-                              for part in (-outer, interior, outer)], axis=1)
-    pos = np.empty(queries.shape, dtype=np.intp)
+    widths, cuts, layout = _edge_layout(bin_counts, n)
+    # per row, at [-inf, +inf, widths, cuts]: edge positions, hits below
+    w_at = slice(2, 2 + widths.size)
+    c_at = slice(2 + widths.size, None)
+    pos = np.empty((c, 2 + widths.size + cuts.size), dtype=np.intp)
     hit_pos = np.empty_like(pos)
+    pos[:, 0] = hit_pos[:, 0] = 0
+    pos[:, 1] = n
+    hit_pos[:, 1] = np.diff(ends, prepend=0)
+    pos[:, c_at] = cuts
+    mass = cols[:, cuts]
+    tied = (cols[:, np.maximum(cuts - 1, 0)] == mass) & (cuts > 0)
     for j in range(c):
-        pos[j] = np.searchsorted(cols[j], queries[j])
-        hit_pos[j] = np.searchsorted(hits[j], queries[j])
-    cum = np.zeros((c, n + 1))
-    np.cumsum(cols, axis=1, out=cum[:, 1:])
-    conf_at = np.take_along_axis(cum, pos, axis=1)
+        row_hits = hits[ends[j] - hit_pos[j, 1]:ends[j]]
+        pos[j, w_at] = np.searchsorted(cols[j], widths)
+        hit_pos[j, w_at] = np.searchsorted(row_hits, widths)
+        hit_pos[j, c_at] = np.searchsorted(row_hits, mass[j])
+        if tied[j].any():
+            pos[j, c_at][tied[j]] = np.searchsorted(cols[j],
+                                                    mass[j, tied[j]])
+    # in place, cols[j, q - 1] becomes the sum of row j's first q values
+    np.cumsum(cols, axis=1, out=cols)
+    conf_at = np.take(cols, pos - 1 + n * np.arange(c)[:, None])
+    conf_at[pos == 0] = 0.0
 
-    # every bin of every block at once; the differences across a block
-    # boundary (a +inf edge, then the next -inf one) are never read
-    counts = np.diff(pos)
-    gaps = np.abs(np.diff(hit_pos) - np.diff(conf_at))
-    gaps /= np.maximum(counts, 1)
-    terms = counts / n * gaps ** p
-    out = {}
-    start = 0
-    for scheme, m, _ in blocks:
-        bins = slice(start, start + m)
-        start += m + 1
-        out[scheme, m] = (np.sum(terms[:, bins], axis=1),
-                          gaps[:, bins].max(axis=1))
+    # every bin of every block at once, a few rows at a time so that the
+    # temporaries stay small; the differences across a block boundary (a
+    # +inf edge, then the next -inf one) are never read.  np.take keeps
+    # the rows C-ordered, as the per-block sums need
+    out = {(scheme, m): (np.empty(c), np.empty(c))
+           for m in bin_counts for scheme in SCHEMES}
+    for first in range(0, c, _ROWS_PER_STEP):
+        rows = slice(first, first + _ROWS_PER_STEP)
+        at, hits_at, conf = (np.take(a[rows], layout, axis=1)
+                             for a in (pos, hit_pos, conf_at))
+        counts = at[:, 1:] - at[:, :-1]
+        hit_diff = hits_at[:, 1:] - hits_at[:, :-1]
+        gaps = conf[:, 1:] - conf[:, :-1]
+        np.subtract(hit_diff, gaps, out=gaps)
+        np.abs(gaps, out=gaps)
+        gaps /= np.maximum(counts, 1, out=hit_diff)
+        terms = counts / n
+        terms *= gaps if p == 1.0 else gaps ** p  # x ** 1.0 is x
+        start = 0
+        for m in bin_counts:
+            for scheme in SCHEMES:
+                bins = slice(start, start + m)
+                start += m + 1
+                lp, mce = out[scheme, m]
+                # what np.sum and np.max run, minus their per-call cost
+                np.add.reduce(terms[:, bins], axis=1, out=lp[rows])
+                np.maximum.reduce(gaps[:, bins], axis=1, out=mce[rows])
     return out
 
 
@@ -268,8 +328,8 @@ def _binned(preds: PredictionSet, bins: int, scheme: str, classwise: bool,
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     top = None if classwise else _top_label(preds)
-    cols, hits = _sorted_columns(preds, top, classwise)
-    errors = _binned_errors(cols, hits, (bins,), p)
+    errors = _binned_errors(*_sorted_columns(preds, top, classwise), (bins,),
+                            p)
     return float(np.mean(errors[scheme, bins][statistic]))
 
 
@@ -299,9 +359,9 @@ def _binned_metrics(preds: PredictionSet, top, metrics, bin_counts) -> dict:
         _check_m(m)
     if top_label and top is None:
         top = _top_label(preds)
-    cols, hits = _sorted_columns(preds, top if top_label else None,
-                                 True in classwise)
-    errors = _binned_errors(cols, hits, tuple(bin_counts))
+    errors = _binned_errors(*_sorted_columns(preds, top if top_label else None,
+                                             True in classwise),
+                            tuple(bin_counts))
     rows = {False: slice(0, 1), True: slice(int(top_label), None)}
     values = {}
     for name in metrics:

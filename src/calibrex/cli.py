@@ -20,6 +20,7 @@ import numpy as np
 
 from . import analysis, archspace, search, suite
 from .predictions import SplitSpec, read_csv_predictions, read_logits_file
+from .temperature import T_MAX, T_MIN, near_bound
 
 DEFAULT_BINS = ",".join(str(b) for b in suite.DEFAULT_BIN_SIZES)
 
@@ -98,6 +99,13 @@ def cmd_eval(args) -> int:
             per_file = pool.map(_eval_one, tasks)
     else:
         per_file = [_eval_one(t) for t in tasks]
+    for path, batch in zip(args.logits, per_file):
+        # post-stage records carry the fitted temperature
+        fitted = next((r.temperature for r in batch if r.stage == "post"),
+                      None)
+        if fitted is not None and near_bound(fitted):
+            print(f"warning: {path}: fitted temperature {fitted:.6g} is at "
+                  f"the bound of [{T_MIN:g}, {T_MAX:g}]", file=sys.stderr)
     records = [r for batch in per_file for r in batch]
     suite.write_records(records, args.out)
     print(f"{len(records)} records written")

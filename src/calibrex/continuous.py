@@ -9,7 +9,6 @@ invariant to input permutation despite floating-point accumulation, and
 """
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -111,24 +110,21 @@ def silverman_bandwidth(values) -> float:
 
 
 def kdece(preds: PredictionSet, bandwidth: Optional[float] = None,
-          grid: int = KDE_GRID, block: int = 2048) -> float:
+          grid: int = KDE_GRID) -> float:
     """Kernel-density estimate of calibration error.
 
     Smooths both the confidence density and the conditional accuracy with a
     triweight kernel on a uniform grid over [0, 1], then integrates
     |z - acc(z)| * density(z) by the trapezoid rule.  The density is left
     unnormalized; mass truncated at the boundaries is simply not counted.
-    A bandwidth of None picks one by ``silverman_bandwidth``.  ``block``
-    must be a positive integer but changes neither the value nor the
-    memory, which is linear in N + grid.
+    A bandwidth of None picks one by ``silverman_bandwidth``.  Memory is
+    linear in N + grid.
     """
     _require_probs(preds)
     if bandwidth is not None and not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
-    if not isinstance(block, Integral) or block < 1:
-        raise ValueError("block must be a positive integer")
     return _kdece(*_top_label(preds), bandwidth, grid)
 
 

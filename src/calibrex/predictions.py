@@ -8,7 +8,9 @@ int32 labels, and a CSV format with header ``label,s0,...,s{K-1}``.
 from __future__ import annotations
 
 import csv
+import io
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,35 +46,8 @@ class PredictionSet:
     def __post_init__(self):
         scores = np.array(self.scores, dtype=np.float64, copy=True)
         labels = np.array(self.labels, dtype=np.int64, copy=True)
-        if scores.ndim != 2:
-            raise ValueError(f"scores must be 2-D, got shape {scores.shape}")
-        n, k = scores.shape
-        if n < 1:
-            raise ValueError("need at least one sample")
-        if k < 2:
-            raise ValueError(f"need at least two classes, got {k}")
-        if labels.shape != (n,):
-            raise ValueError(
-                f"labels shape {labels.shape} does not match {n} samples")
-        if not np.all(np.isfinite(scores)):
-            bad = int(np.argwhere(~np.isfinite(scores).all(axis=1))[0, 0])
-            raise ValueError(f"non-finite score in row {bad}")
-        if labels.min() < 0 or labels.max() >= k:
-            bad = int(np.argwhere((labels < 0) | (labels >= k))[0, 0])
-            raise ValueError(
-                f"label {labels[bad]} out of range [0, {k}) in row {bad}")
-        if self.is_probabilities:
-            if scores.min() < -1e-9 or scores.max() > 1.0 + 1e-9:
-                raise ValueError("probability entries must lie in [0, 1]")
-            sums = scores.sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > 1e-6:
-                bad = int(np.argmax(np.abs(sums - 1.0)))
-                raise ValueError(
-                    f"row {bad} sums to {sums[bad]:.8f}, expected 1 within 1e-6")
-        scores.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "labels", labels)
+        _check(scores, labels, self.is_probabilities)
+        _freeze(self, scores, labels)
 
     @property
     def n_samples(self) -> int:
@@ -86,7 +61,7 @@ class PredictionSet:
         """Probability matrix: scores if already probabilities, else softmax."""
         if self.is_probabilities:
             return self.scores
-        return softmax(self.scores)
+        return _softmax(self.scores)
 
     def top_confidence(self) -> np.ndarray:
         """Per-sample top-label probability."""
@@ -104,6 +79,62 @@ class PredictionSet:
         return float(self.correctness().mean())
 
 
+def _check(scores: np.ndarray, labels: np.ndarray,
+           is_probabilities: bool) -> None:
+    """Raise ValueError unless float64 ``scores`` and int64 ``labels`` make
+    a valid PredictionSet.  The one rule set: the public constructor and
+    the file readers apply it to their own copies."""
+    if scores.ndim != 2:
+        raise ValueError(f"scores must be 2-D, got shape {scores.shape}")
+    n, k = scores.shape
+    if n < 1:
+        raise ValueError("need at least one sample")
+    if k < 2:
+        raise ValueError(f"need at least two classes, got {k}")
+    if labels.shape != (n,):
+        raise ValueError(
+            f"labels shape {labels.shape} does not match {n} samples")
+    if not np.all(np.isfinite(scores)):
+        bad = int(np.argwhere(~np.isfinite(scores).all(axis=1))[0, 0])
+        raise ValueError(f"non-finite score in row {bad}")
+    if labels.min() < 0 or labels.max() >= k:
+        bad = int(np.argwhere((labels < 0) | (labels >= k))[0, 0])
+        raise ValueError(
+            f"label {labels[bad]} out of range [0, {k}) in row {bad}")
+    if is_probabilities:
+        if scores.min() < 0.0 or scores.max() > 1.0:
+            bad = int(np.argwhere((scores < 0.0) | (scores > 1.0))[0, 0])
+            raise ValueError(f"probability entry out of [0, 1] in row {bad}")
+        sums = scores.sum(axis=1)
+        if np.max(np.abs(sums - 1.0)) > 1e-6:
+            bad = int(np.argmax(np.abs(sums - 1.0)))
+            raise ValueError(
+                f"row {bad} sums to {sums[bad]:.8f}, expected 1 within 1e-6")
+
+
+def _freeze(preds: PredictionSet, scores: np.ndarray,
+            labels: np.ndarray) -> None:
+    scores.setflags(write=False)
+    labels.setflags(write=False)
+    object.__setattr__(preds, "scores", scores)
+    object.__setattr__(preds, "labels", labels)
+
+
+def _trusted(scores: np.ndarray, labels: np.ndarray,
+             is_probabilities: bool) -> PredictionSet:
+    """A PredictionSet around arrays that are valid by construction.
+
+    ``scores`` (float64) and ``labels`` (int64) must be new arrays that
+    nothing else references, and must pass ``_check``: a reader's own
+    copies after ``_check``, or the output of a transform of a valid set.
+    They are frozen, not copied or checked again.
+    """
+    preds = object.__new__(PredictionSet)
+    object.__setattr__(preds, "is_probabilities", is_probabilities)
+    _freeze(preds, scores, labels)
+    return preds
+
+
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-shift stabilization.
 
@@ -118,22 +149,32 @@ def softmax(scores: np.ndarray) -> np.ndarray:
         Rows are probability vectors summing to 1.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    _check_logits(scores)
+    return _softmax(scores)
+
+
+def _check_logits(scores: np.ndarray) -> None:
     if scores.ndim != 2:
         raise ValueError(f"expected 2-D logits, got shape {scores.shape}")
     if not np.all(np.isfinite(scores)):
         bad = int(np.argwhere(~np.isfinite(scores).all(axis=1))[0, 0])
         raise ValueError(f"non-finite logit in row {bad}")
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax(scores: np.ndarray, out=None) -> np.ndarray:
+    """softmax of finite 2-D float64 scores, built in one buffer: ``out``
+    (which may be ``scores`` itself) or a new array."""
+    e = np.subtract(scores, scores.max(axis=1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def as_probabilities(preds: PredictionSet) -> PredictionSet:
     """Return an equivalent PredictionSet flagged as probabilities."""
     if preds.is_probabilities:
         return preds
-    return PredictionSet(softmax(preds.scores), preds.labels,
-                         is_probabilities=True)
+    return _trusted(_softmax(preds.scores), preds.labels.copy(), True)
 
 
 @dataclass(frozen=True)
@@ -153,8 +194,9 @@ class SplitSpec:
 
 
 def _take(preds: PredictionSet, idx: np.ndarray) -> PredictionSet:
-    return PredictionSet(preds.scores[idx], preds.labels[idx],
-                         is_probabilities=preds.is_probabilities)
+    """The rows ``idx`` (non-empty) of a valid set: valid, and new arrays."""
+    return _trusted(preds.scores[idx], preds.labels[idx],
+                    preds.is_probabilities)
 
 
 def split(preds: PredictionSet, spec: SplitSpec) -> tuple[PredictionSet, PredictionSet]:
@@ -215,11 +257,12 @@ def read_logits_file(path) -> PredictionSet:
         bad = int(np.argwhere((labels < 0) | (labels >= k))[0, 0])
         raise LogitsFileError(
             f"{path}: label {labels[bad]} out of range [0, {k}) in record {bad}")
+    scores = rec["s"].astype(np.float64)
     try:
-        return PredictionSet(rec["s"].astype(np.float64), labels,
-                             is_probabilities=bool(flag))
+        _check(scores, labels, bool(flag))
     except ValueError as exc:
         raise LogitsFileError(f"{path}: {exc}") from exc
+    return _trusted(scores, labels, bool(flag))
 
 
 # ---------------------------------------------------------------------------
@@ -248,33 +291,22 @@ def read_csv_predictions(path, kind: str = "auto") -> PredictionSet:
     if kind not in ("auto", "logits", "probabilities"):
         raise ValueError(f"bad kind {kind!r}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise LogitsFileError(f"{path}: empty file") from None
         k = len(header) - 1
         if k < 2 or header[0] != "label" or \
                 header[1:] != [f"s{i}" for i in range(k)]:
             raise LogitsFileError(f"{path}: line 1: bad header {header!r}")
-        labels = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != k + 1:
-                raise LogitsFileError(
-                    f"{path}: line {lineno}: expected {k + 1} cells, got {len(row)}")
-            try:
-                labels.append(int(row[0]))
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise LogitsFileError(
-                    f"{path}: line {lineno}: non-numeric cell") from None
-        if not rows:
-            raise LogitsFileError(f"{path}: no data rows")
-    scores = np.asarray(rows, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+        body = fh.read()
+    try:
+        labels, scores = _load_csv_body(body, k)
+    except ValueError:
+        # the cell rules, which also name the first bad line
+        labels, scores = _parse_csv_body(path, body, k)
+    if labels.size == 0:
+        raise LogitsFileError(f"{path}: no data rows")
     if kind == "auto":
         in_range = scores.min() >= 0.0 and scores.max() <= 1.0
         is_prob = bool(in_range and
@@ -282,6 +314,52 @@ def read_csv_predictions(path, kind: str = "auto") -> PredictionSet:
     else:
         is_prob = kind == "probabilities"
     try:
-        return PredictionSet(scores, labels, is_probabilities=is_prob)
+        _check(scores, labels, is_prob)
     except ValueError as exc:
         raise LogitsFileError(f"{path}: {exc}") from exc
+    return _trusted(scores, labels, is_prob)
+
+
+# numpy strips these (and some non-ASCII characters) around a number,
+# where int() and float() do not
+_ODD_SPACE = "\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _load_csv_body(body: str, k: int):
+    """Labels and scores of a CSV body by one ``np.loadtxt`` call.
+
+    Raises ValueError for any body whose cells or lines numpy might read
+    otherwise than ``_parse_csv_body``: without non-ASCII and
+    ``_ODD_SPACE`` characters, what loadtxt takes the cell rules take too,
+    with the same values, and the lines split the same.
+    """
+    if not body.isascii() or any(c in body for c in _ODD_SPACE):
+        raise ValueError("characters numpy reads otherwise")
+    dtype = np.dtype([("y", np.int64), ("s", np.float64, (k,))])
+    with warnings.catch_warnings():
+        # no rows at all is the caller's "no data rows" error
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(body.splitlines(), dtype=dtype, delimiter=",",
+                          comments=None, quotechar=None, ndmin=1)
+    return data["y"].copy(), data["s"].copy()
+
+
+def _parse_csv_body(path, body: str, k: int):
+    """Labels by ``int()`` and scores by ``float()``, one CSV row at a time;
+    blank rows are skipped and the first bad row raises, naming its line."""
+    labels, rows = [], []
+    reader = csv.reader(io.StringIO(body, newline=""))
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != k + 1:
+            raise LogitsFileError(
+                f"{path}: line {lineno}: expected {k + 1} cells, got {len(row)}")
+        try:
+            labels.append(int(row[0]))
+            rows.append([float(v) for v in row[1:]])
+        except ValueError:
+            raise LogitsFileError(
+                f"{path}: line {lineno}: non-numeric cell") from None
+    return (np.asarray(labels, dtype=np.int64),
+            np.asarray(rows, dtype=np.float64).reshape(-1, k))

@@ -7,11 +7,12 @@ log-temperature finds the minimum without derivatives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .predictions import PredictionSet, softmax
+from .predictions import PredictionSet, _check_logits, _softmax, _trusted
 
 T_MIN = 0.05
 T_MAX = 20.0
@@ -22,54 +23,90 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class Temperature:
-    """A fitted temperature with NLL before/after on the fitting set."""
+    """A fitted temperature with NLL before/after on the fitting set.
+
+    ``at_bound`` is True when the optimum lies within ``T_TOL`` of
+    ``T_MIN`` or ``T_MAX``: the search stopped at the edge of its range,
+    so the NLL may keep falling beyond it.
+    """
 
     value: float
     nll_before: float
     nll_after: float
+    at_bound: bool = False
+
+
+def near_bound(t: float) -> bool:
+    """True when temperature t lies within T_TOL of T_MIN or T_MAX."""
+    return t - T_MIN <= T_TOL or T_MAX - t <= T_TOL
 
 
 def _as_logits(preds: PredictionSet) -> np.ndarray:
     if preds.is_probabilities:
-        return np.log(np.maximum(preds.scores, 1e-12))
+        z = np.maximum(preds.scores, 1e-12)
+        return np.log(z, out=z)
     return preds.scores
 
 
-def _logsumexp_into(z: np.ndarray, zmax: np.ndarray,
-                    is_max: np.ndarray) -> np.ndarray:
+def _logsumexp_into(z: np.ndarray, zmax: np.ndarray, max_rows: np.ndarray,
+                    max_at: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp of z, with the arithmetic of scipy's
     ``logsumexp``, given the row maxima ``zmax``.
 
-    The row maxima are left out of the shifted sum and enter as the log of
-    their count: ``log1p(sum / count) + log(count) + max``.  z and the
-    boolean buffer is_max are overwritten.
+    ``max_at`` holds the flat index into z of every entry equal to its row
+    max, ``max_rows`` that entry's row.  The row maxima are left out of the
+    shifted sum and enter as the log of their count:
+    ``log1p(sum / count) + log(count) + max``.  z (C-contiguous) is
+    overwritten.
     """
-    col = zmax[:, None]
-    np.equal(z, col, out=is_max)
-    count = is_max.sum(axis=1, dtype=z.dtype)
-    np.subtract(z, col, out=z)
-    np.copyto(z, -np.inf, where=is_max)
+    count = np.bincount(max_rows, minlength=z.shape[0]).astype(z.dtype)
+    np.subtract(z, zmax[:, None], out=z)
+    z.ravel()[max_at] = -np.inf
     s = np.exp(z, out=z).sum(axis=1)
     return np.log1p(s / count) + np.log(count) + zmax
 
 
+# below this magnitude, x / t cannot overflow for any t >= T_MIN / 2
+_NO_OVERFLOW = sys.float_info.max * (T_MIN / 4)
+
+
 def _nll_curve(logits: np.ndarray, labels: np.ndarray):
-    """``t -> mean NLL of softmax(logits / t)``, with per-fit work hoisted.
+    """``t -> mean NLL of softmax(logits / t)`` for t in [T_MIN, T_MAX],
+    with per-fit work hoisted.
 
     Division by t > 0 is monotone, so the row max of ``logits / t`` is the
-    row max of the logits divided by t, exactly; it and the label logits
-    are taken once, and each call reuses two N x K buffers.  ``is_max``
-    still compares the divided logits: two distinct logits can round to one
-    value after division.
+    row max M of the logits divided by t, exactly; it and the label logits
+    are taken once, and each call reuses one N x K buffer.  Two distinct
+    logits can still round to one value after division, so the entries
+    equal to the row max are found anew at each t, but only among
+    candidates collected once: x is one if ``x >= M - (|M| * 2**-40 +
+    2**-1000)`` or ``|x|`` may overflow when divided by t.
+
+    Why that is every entry that can tie: if ``fl(x/t) == fl(M/t) == v``
+    for x < M, the exact quotients lie in v's rounding interval, so
+    ``(M - x)/t <= ulp(v) <= 2**-52 |v| + 2**-1074``.  For finite v,
+    ``|v|`` exceeds ``|M|/t`` by at most half an ulp, so
+    ``M - x <= 2**-51 |M| + 2t * 2**-1074``: far inside the margin for
+    any t up to 2 * T_MAX, also after the cutoff's own rounding (at most
+    ``2**-53`` of |M| or of the margin).  Infinite v needs ``|x|/t`` to
+    overflow, which the second test covers for t down to T_MIN / 2.
     """
+    n, k = logits.shape
     row_max = logits.max(axis=1)
-    label_logits = logits[np.arange(logits.shape[0]), labels]
+    label_logits = logits[np.arange(n), labels]
+    cutoff = row_max - (np.abs(row_max) * 2.0 ** -40 + 2.0 ** -1000)
+    near = logits >= cutoff[:, None]
+    near |= np.abs(logits) >= _NO_OVERFLOW
+    rows, cols = np.nonzero(near)
+    at = rows * k + cols
+    values = logits[rows, cols]
     z = np.empty_like(logits)
-    is_max = np.empty(logits.shape, dtype=bool)
 
     def nll_at(t: float) -> float:
         np.divide(logits, t, out=z)
-        lse = _logsumexp_into(z, row_max / t, is_max)
+        zmax = row_max / t
+        is_max = values / t == zmax[rows]
+        lse = _logsumexp_into(z, zmax, rows[is_max], at[is_max])
         return float(np.mean(lse - label_logits / t))
     return nll_at
 
@@ -81,8 +118,11 @@ def fit_temperature(preds: PredictionSet) -> Temperature:
     narrower than T_TOL in temperature units.  If the optimum does not
     strictly improve on T=1, the identity temperature is returned.
     """
-    nll_at = _nll_curve(_as_logits(preds), preds.labels)
+    return _golden_section(_nll_curve(_as_logits(preds), preds.labels))
 
+
+def _golden_section(nll_at) -> Temperature:
+    """``fit_temperature``'s search on the NLL curve ``t -> nll_at(t)``."""
     def f(u: float) -> float:
         return nll_at(math.exp(u))
 
@@ -104,7 +144,7 @@ def fit_temperature(preds: PredictionSet) -> Temperature:
     nll_star = nll_at(t_star)
     if not nll_star < nll_one:
         return Temperature(1.0, nll_one, nll_one)
-    return Temperature(t_star, nll_one, nll_star)
+    return Temperature(t_star, nll_one, nll_star, near_bound(t_star))
 
 
 def apply_temperature(preds: PredictionSet, temperature) -> PredictionSet:
@@ -113,5 +153,6 @@ def apply_temperature(preds: PredictionSet, temperature) -> PredictionSet:
         else float(temperature)
     if not t > 0.0:
         raise ValueError("temperature must be positive")
-    probs = softmax(_as_logits(preds) / t)
-    return PredictionSet(probs, preds.labels, is_probabilities=True)
+    z = _as_logits(preds) / t
+    _check_logits(z)  # huge logits over a small t overflow
+    return _trusted(_softmax(z, out=z), preds.labels.copy(), True)

@@ -356,6 +356,23 @@ def kernel_cases():
     # fewer samples than bins: equal-mass edges repeat and bins stay empty
     yield "n<m", random_prob_preds(rng, 7, 3)
     yield "random", random_prob_preds(rng, 900, 10)
+    # below, equal-mass edges x_(i*n//m) sit inside runs of equal values,
+    # so their positions come from a search, not from i*n//m
+    # every row two to four times in a row
+    base = random_prob_preds(rng, 150, 4)
+    reps = np.repeat(np.arange(150), rng.choice([2, 3, 4], size=150))
+    yield "dup-rows", PredictionSet(base.scores[reps], base.labels[reps],
+                                    is_probabilities=True)
+    # softmax underflow in about half of each column: long runs of 0.0
+    logits = rng.normal(scale=3.0, size=(700, 5))
+    logits[rng.uniform(size=(700, 5)) < 0.5] = -3000.0
+    logits[np.arange(700), rng.integers(0, 5, 700)] = 0.0
+    yield "zero-runs", as_probabilities(PredictionSet(
+        logits, rng.integers(0, 5, size=700)))
+    # fewer samples than bins, with duplicates
+    yield "n<m-dups", PredictionSet([[0.9, 0.1], [0.9, 0.1], [0.2, 0.8],
+                                     [0.2, 0.8], [0.9, 0.1]],
+                                    [0, 1, 1, 1, 0], is_probabilities=True)
 
 
 @pytest.mark.parametrize("name,preds", list(kernel_cases()))
@@ -374,6 +391,21 @@ def test_kernel_matches_loop_reference(name, preds):
         assert suite["mce", m] == mce(preds, m)
         assert suite["cwce", m] == cwce(preds, m)
         assert suite["cwce_em", m] == cwce_em(preds, m)
+
+
+def test_kernel_cases_put_mass_edges_inside_runs():
+    cases = dict(kernel_cases())
+    for name in ("dup-rows", "zero-runs", "n<m-dups"):
+        preds = cases[name]
+        cols = np.sort(np.concatenate(
+            [preds.top_confidence()[None, :], preds.scores.T]), axis=1)
+        n = preds.n_samples
+        tied = 0
+        for m in DEFAULT_BIN_SIZES:
+            cuts = (np.arange(1, m) * n) // m
+            cuts = cuts[cuts > 0]
+            tied += np.count_nonzero(cols[:, cuts - 1] == cols[:, cuts])
+        assert tied > 0, name
 
 
 def top_label_cases():
@@ -421,9 +453,9 @@ def test_binned_metrics_subsets_give_the_same_bits():
 
 
 def test_binned_metrics_reject_out_of_range_confidences():
-    scores = np.array([[1.0 + 1e-10, -1e-10], [0.3, 0.7], [0.5, 0.5]])
-    preds = PredictionSet(scores, [0, 1, 0], is_probabilities=True)
-    for fn in (lambda p: ece(p, 10), lambda p: cwce(p, 10),
-               lambda p: binned_metrics(p, BIN_METRICS, (10,))):
-        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
-            fn(preds)
+    # the binned metrics read probability sets only, and a probability
+    # set holds no entry outside [0, 1], not even within rounding of it
+    for row in ([1.0 + 1e-10, -1e-10], [1.0 + 5e-10, 0.0], [-1e-10, 1.0]):
+        scores = np.array([[0.3, 0.7], row, [0.5, 0.5]])
+        with pytest.raises(ValueError, match=r"out of \[0, 1\] in row 1"):
+            PredictionSet(scores, [0, 1, 0], is_probabilities=True)

@@ -125,6 +125,39 @@ def test_eval_jobs_match_serial(tmp_path):
     assert open(serial, "rb").read() == open(parallel, "rb").read()
 
 
+def test_eval_warns_once_per_file_whose_temperature_is_at_a_bound(
+        tmp_path, capsys):
+    # labels drawn from softmax(2 z): the fit lands near T = 2
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(300, 3))
+    p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    drawn = (rng.uniform(size=(300, 1)) > p.cumsum(axis=1)).sum(axis=1)
+    logits_file = str(tmp_path / "fair.bin")
+    write_logits_file(logits_file, PredictionSet(2.0 * z, drawn))
+    # near-zero logits with perfect labels: the fit is pinned at T_MIN
+    labels = np.arange(200) % 3
+    pinned = str(tmp_path / "pinned.bin")
+    write_logits_file(pinned, PredictionSet(1e-3 * np.eye(3)[labels], labels))
+    out = str(tmp_path / "r.jsonl")
+    assert main(["eval", "--logits", logits_file, "--logits", pinned,
+                 "--out", out]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "200 records written"
+    warnings = captured.err.splitlines()
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"warning: {pinned}: fitted temperature "
+                                  f"0.05")
+    assert "at the bound of [0.05, 20]" in warnings[0]
+    # the warning is a diagnostic only: the records carry no flag
+    recs = [json.loads(l) for l in open(out)]
+    assert all(set(r) == set(recs[0]) for r in recs)
+    pinned_t = {r["temperature"] for r in recs
+                if r["arch_index"] == 1 and r["stage"] == "post"}
+    assert len(pinned_t) == 1 and pinned_t.pop() < 0.0501
+    assert main(["eval", "--logits", logits_file, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_eval_missing_file_exits_2(tmp_path, capsys):
     out = str(tmp_path / "r.jsonl")
     rc = main(["eval", "--logits", "/nonexistent/net.bin", "--out", out])

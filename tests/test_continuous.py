@@ -322,18 +322,8 @@ def test_kdece_matches_scalar_oracle():
     for _ in range(6):
         preds = random_prob_preds(rng, int(rng.integers(10, 60)), 3)
         want = kdece_oracle(preds, 0.1, 101)
-        for block in (2048, 7):
-            got = kdece(preds, 0.1, grid=101,
-                        block=block)
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-
-def test_kdece_block_size_is_cosmetic():
-    rng = np.random.default_rng(8)
-    preds = random_prob_preds(rng, 500, 3)
-    a = kdece(preds, grid=256, block=2048)
-    b = kdece(preds, grid=256, block=7)
-    assert a == pytest.approx(b, rel=1e-10)
+        got = kdece(preds, 0.1, grid=101)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_kdece_grid_refinement_converges():
@@ -360,10 +350,6 @@ def test_kdece_argument_validation():
     preds = perfect_preds()
     with pytest.raises(ValueError, match="grid"):
         kdece(preds, grid=1)
-    for bad in (-5, 0):
-        with pytest.raises(ValueError,
-                           match="block must be a positive integer"):
-            kdece(preds, block=bad)
 
 
 def kdece_edge_cases():

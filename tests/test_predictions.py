@@ -12,12 +12,16 @@ from calibrex import (
     as_probabilities,
     read_csv_predictions,
     read_logits_file,
+    apply_temperature,
+    fit_temperature,
     softmax,
     split,
     write_csv_predictions,
     write_logits_file,
 )
-from calibrex.predictions import FORMAT_VERSION, MAGIC, _HEADER
+from calibrex import predictions
+from calibrex.predictions import (FORMAT_VERSION, MAGIC, _HEADER,
+                                  _parse_csv_body)
 
 
 def random_preds(rng, n, k, probabilities=False):
@@ -78,6 +82,57 @@ def test_probability_flag_validation():
         PredictionSet([[0.6, 0.6]], [0], is_probabilities=True)
     # within the 1e-6 tolerance is fine
     PredictionSet([[0.6 + 4e-7, 0.4]], [0], is_probabilities=True)
+
+
+def test_probability_entries_lie_in_unit_interval_exactly(tmp_path):
+    # entries within rounding of [0, 1] were once accepted, then failed
+    # inside the binned metrics (or passed kdece); the boundary rejects them
+    ok = [0.25, 0.75]
+    above = float(np.nextafter(np.float32(1.0), np.float32(2.0)))
+    for bad in ([-1e-10, 1.0 + 1e-10], [1.0 + 5e-10, 0.0], [above, 0.0]):
+        with pytest.raises(ValueError, match=r"out of \[0, 1\] in row 1"):
+            PredictionSet([ok, bad, ok], [0, 1, 0], is_probabilities=True)
+    # the same through a flag-1 binary file, with values float32 keeps
+    # outside [0, 1]
+    for bad in ([-1e-10, 1.0], [above, 0.0]):
+        path = tmp_path / "near.bin"
+        path.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, 1, 3, 2)
+                         + b"".join(struct.pack("<ffi", *row, 0)
+                                    for row in (ok, bad, ok)))
+        with pytest.raises(LogitsFileError,
+                           match=r"near.bin: probability entry out of "
+                                 r"\[0, 1\] in row 1"):
+            read_logits_file(path)
+
+
+def test_transforms_give_read_only_sets_that_share_no_memory():
+    rng = np.random.default_rng(4)
+    scores, labels = rng.normal(size=(40, 5)), rng.integers(0, 5, 40)
+    preds = PredictionSet(scores, labels)
+    probs = as_probabilities(preds)
+    val, test = split(preds, SplitSpec(0.25, seed=1))
+    fit = fit_temperature(val)
+    # (output, the set it came from)
+    pairs = [(probs, preds), (val, preds), (test, preds),
+             (apply_temperature(test, fit), test),
+             (apply_temperature(probs, 2.0), probs),
+             *((part, probs) for part in split(probs, SplitSpec(0.5)))]
+    for out, source in pairs:
+        for arr in (out.scores, out.labels):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+            assert not any(np.shares_memory(arr, a) for a in (
+                scores, labels, source.scores, source.labels))
+        assert out.scores.dtype == np.float64
+        assert out.labels.dtype == np.int64
+        assert out.scores.flags.c_contiguous
+        # valid by construction: the public constructor agrees
+        again = PredictionSet(out.scores, out.labels, out.is_probabilities)
+        assert np.array_equal(again.scores, out.scores)
+    scores[0, 0] = labels[0] = 99  # the caller's arrays stay theirs
+    assert all(out.scores.max() < 99 and out.labels.max() < 5
+               for out, _ in pairs)
 
 
 def test_predicted_class_tie_breaks_to_smallest_index():
@@ -369,4 +424,44 @@ def test_csv_bad_label_reported_with_path(tmp_path):
     path = tmp_path / "z.csv"
     path.write_text("label,s0,s1\n5,0.1,0.9\n")
     with pytest.raises(LogitsFileError, match="out of range"):
+        read_csv_predictions(path)
+
+
+def test_csv_reads_every_spelling_the_cell_rules_take(tmp_path, monkeypatch):
+    path = tmp_path / "s.csv"
+    # numpy's loader takes these; the int()/float() cell rules give the
+    # same arrays
+    path.write_text("label,s0,s1,s2\n"
+                    "0,1e-3, 0.5 ,+0.25\n"
+                    "2,-0,.5,5.\n"
+                    "1,\t-1.25E+2,0.1,0.2\r\n"
+                    "1,0.30000000000000004,1e-320,-2\n")
+    with monkeypatch.context() as m:  # numpy's loader alone reads it
+        m.setattr(predictions, "_parse_csv_body", None)
+        got = read_csv_predictions(path)
+    body = path.read_text().split("\n", 1)[1]
+    labels, scores = _parse_csv_body(path, body, 3)
+    assert np.array_equal(got.labels, labels)
+    assert got.scores.tobytes() == scores.tobytes()
+    assert np.array_equal(got.labels, [0, 2, 1, 1])
+    assert got.scores[1, 0] == 0.0 and np.signbit(got.scores[1, 0])
+    # and these only int() and float() take: the file still reads
+    path.write_text('label,s0,s1\n0_1,0.2_5,"0.75"\n٠,\xa00.5,0.5\n')
+    got = read_csv_predictions(path)
+    assert np.array_equal(got.labels, [1, 0])
+    assert np.array_equal(got.scores, [[0.25, 0.75], [0.5, 0.5]])
+    assert got.is_probabilities
+
+
+def test_csv_cells_numpy_would_strip_stay_errors(tmp_path):
+    # numpy's loader strips \x1c-\x1f around a number; float() does not,
+    # and the file stays the error it was
+    path = tmp_path / "c.csv"
+    for ch in "\x1c\x1d\x1e\x1f":
+        path.write_text(f"label,s0,s1\n0,0.5,0.5\n1,0.5{ch},0.5\n")
+        with pytest.raises(LogitsFileError, match="line 3: non-numeric cell"):
+            read_csv_predictions(path)
+    # a whitespace-only line is a one-cell row, not a blank one
+    path.write_text("label,s0,s1\n0,0.5,0.5\n \n")
+    with pytest.raises(LogitsFileError, match="line 3: expected 3 cells, got 1"):
         read_csv_predictions(path)

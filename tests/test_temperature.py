@@ -1,5 +1,4 @@
 """Tests for temperature fitting and application."""
-import math
 
 import numpy as np
 import pytest
@@ -7,20 +6,22 @@ import pytest
 from calibrex import (
     PredictionSet,
     SplitSpec,
-    Temperature,
     apply_temperature,
+    as_probabilities,
     fit_temperature,
     nll,
     softmax,
     split,
 )
-from calibrex.temperature import (T_MAX, T_MIN, T_TOL, _INV_PHI, _as_logits,
-                                  _logsumexp_into, _nll_curve)
+from calibrex.temperature import (T_MAX, T_MIN, T_TOL, _as_logits,
+                                  _golden_section, _logsumexp_into,
+                                  _nll_curve)
 
 
 def logsumexp_rows(z):
-    return _logsumexp_into(z.copy(), z.max(axis=1),
-                           np.empty(z.shape, dtype=bool))
+    zmax = z.max(axis=1)
+    rows, cols = np.nonzero(z == zmax[:, None])
+    return _logsumexp_into(z.copy(), zmax, rows, rows * z.shape[1] + cols)
 
 
 def nll_at(logits, labels, t):
@@ -75,29 +76,29 @@ def nll_at_unhoisted(logits, labels, t):
 def fit_unhoisted(preds):
     """fit_temperature's golden-section search on ``nll_at_unhoisted``."""
     logits, labels = _as_logits(preds), preds.labels
+    return _golden_section(lambda t: nll_at_unhoisted(logits, labels, t))
 
-    def f(u):
-        return nll_at_unhoisted(logits, labels, math.exp(u))
 
-    lo, hi = math.log(T_MIN), math.log(T_MAX)
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while math.exp(hi) - math.exp(lo) > T_TOL:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-    t_star = math.exp(0.5 * (lo + hi))
-    nll_one = nll_at_unhoisted(logits, labels, 1.0)
-    nll_star = nll_at_unhoisted(logits, labels, t_star)
-    if not nll_star < nll_one:
-        return Temperature(1.0, nll_one, nll_one)
-    return Temperature(t_star, nll_one, nll_star)
+def nll_curve_full_matrix(logits, labels):
+    """The hoisted NLL curve as it was before the candidates-only max test:
+    every evaluation compares, counts and masks the whole N x K matrix."""
+    row_max = logits.max(axis=1)
+    label_logits = logits[np.arange(logits.shape[0]), labels]
+    z = np.empty_like(logits)
+    is_max = np.empty(logits.shape, dtype=bool)
+
+    def nll_at(t):
+        np.divide(logits, t, out=z)
+        zmax = row_max / t
+        col = zmax[:, None]
+        np.equal(z, col, out=is_max)
+        count = is_max.sum(axis=1, dtype=z.dtype)
+        np.subtract(z, col, out=z)
+        np.copyto(z, -np.inf, where=is_max)
+        s = np.exp(z, out=z).sum(axis=1)
+        lse = np.log1p(s / count) + np.log(count) + zmax
+        return float(np.mean(lse - label_logits / t))
+    return nll_at
 
 
 def overconfident_preds(k, model, n=10_000):
@@ -294,3 +295,82 @@ def test_scaling_reduces_nll_of_overconfident_model():
     after = nll(apply_temperature(p, fit))
     assert after < before
     assert after == pytest.approx(fit.nll_after, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the candidates-only max test against the full-matrix curve
+# ---------------------------------------------------------------------------
+
+def full_matrix_cases():
+    """(name, logits, labels) where row maxima tie, nearly tie or sit at
+    extreme magnitudes."""
+    rng = np.random.default_rng(23)
+    n, k = 240, 7
+    labels = rng.integers(0, k, n)
+    z = rng.normal(scale=3.0, size=(n, k))
+    tied = z.copy()
+    tied[:, 2] = tied.max(axis=1)               # a second exact maximum
+    tied[::3, 5] = tied[::3, 2]                 # and a third in some rows
+    yield "exact ties", tied, labels
+    near = z.copy()
+    top = z.max(axis=1) * np.exp(rng.uniform(-30, 30, n))  # 1e-13 .. 1e13
+    near[:, 0] = top
+    below = top
+    for col in (1, 3, 6):                       # 1, 2 and 3 ulps below
+        below = np.nextafter(below, -np.inf)
+        near[:, col] = below
+    near[:, 4] = np.nextafter(top, np.inf)      # and one ulp above
+    yield "near ties", near, labels
+    tiny = np.array([5e-324, 1e-323, 2e-323, 0.0, -5e-324, 1e-310, 3e-310])
+    yield "subnormal", tiny[rng.integers(0, 7, (n, k))], labels
+    yield "large", z * 1e300, labels
+    probs = as_probabilities(PredictionSet(z * 4.0, labels))
+    yield "probabilities", _as_logits(probs), labels
+    one_hot = PredictionSet(np.eye(k)[labels], labels, is_probabilities=True)
+    yield "floored probabilities", _as_logits(one_hot), labels
+
+
+@pytest.mark.parametrize("name,logits,labels", list(full_matrix_cases()))
+def test_nll_curve_matches_full_matrix_bit_for_bit(name, logits, labels):
+    ts = [T_MIN, *np.geomspace(T_MIN, T_MAX, 41)[1:-1], 1.0, T_MAX]
+    fast = _nll_curve(logits, labels)
+    full = nll_curve_full_matrix(logits, labels)
+    for t in ts:
+        assert fast(t) == full(t), t
+    # one row at a time, so no last-bit difference hides in the mean
+    for i in range(0, logits.shape[0], 7):
+        one = slice(i, i + 1)
+        fast = _nll_curve(logits[one], labels[one])
+        full = nll_curve_full_matrix(logits[one], labels[one])
+        for t in ts[::4]:
+            assert fast(t) == full(t), (t, i)
+    assert _golden_section(_nll_curve(logits, labels)) == _golden_section(
+        nll_curve_full_matrix(logits, labels))
+
+
+def test_fit_flags_a_temperature_pinned_at_a_bound():
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 4, 500)
+    # near-zero logits, perfect labels: the NLL falls all the way to T_MIN
+    sharp = fit_temperature(PredictionSet(1e-3 * np.eye(4)[labels], labels))
+    assert sharp.value - T_MIN <= T_TOL and sharp.at_bound
+    # confident logits, random labels: the NLL falls all the way to T_MAX
+    noisy = fit_temperature(PredictionSet(
+        20.0 * np.eye(4)[rng.integers(0, 4, 500)], labels))
+    assert T_MAX - noisy.value <= T_TOL and noisy.at_bound
+    assert not fit_temperature(planted_preds(2.0)).at_bound
+    # the identity fallback is never at a bound
+    flat = fit_temperature(PredictionSet(np.zeros((10, 3)), np.arange(10) % 3))
+    assert flat.value == 1.0 and not flat.at_bound
+
+
+def test_nll_curve_matches_full_matrix_when_division_overflows():
+    # 5e307 / T_MIN and 1e308 / T_MIN both round to inf: a tie at the max
+    # that no relative margin around 1e308 finds (missing it gives NaN)
+    logits = np.array([[1e308, 5e307, 1.0], [3.0, 1.0, 2.0]])
+    labels = np.array([2, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in (T_MIN, 0.1, 1.0):
+            want = nll_curve_full_matrix(logits, labels)(t)
+            assert _nll_curve(logits, labels)(t) == want, t
+        assert nll_curve_full_matrix(logits, labels)(T_MIN) == np.inf
