@@ -44,7 +44,10 @@ class PredictionSet:
     is_probabilities: bool = False
 
     def __post_init__(self):
-        scores = np.array(self.scores, dtype=np.float64, copy=True)
+        # C order whatever the input's layout: the kernels index rows of
+        # the flattened scores
+        scores = np.array(self.scores, dtype=np.float64, copy=True,
+                          order="C")
         labels = np.array(self.labels, dtype=np.int64, copy=True)
         _check(scores, labels, self.is_probabilities)
         _freeze(self, scores, labels)
@@ -124,9 +127,10 @@ def _trusted(scores: np.ndarray, labels: np.ndarray,
              is_probabilities: bool) -> PredictionSet:
     """A PredictionSet around arrays that are valid by construction.
 
-    ``scores`` (float64) and ``labels`` (int64) must be new arrays that
-    nothing else references, and must pass ``_check``: a reader's own
-    copies after ``_check``, or the output of a transform of a valid set.
+    ``scores`` (float64, C-ordered) and ``labels`` (int64) must be new
+    arrays that nothing else references, and must pass ``_check``: a
+    reader's own copies after ``_check``, or the output of a transform of
+    a valid set.
     They are frozen, not copied or checked again.
     """
     preds = object.__new__(PredictionSet)

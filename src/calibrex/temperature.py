@@ -27,7 +27,9 @@ class Temperature:
 
     ``at_bound`` is True when the optimum lies within ``T_TOL`` of
     ``T_MIN`` or ``T_MAX``: the search stopped at the edge of its range,
-    so the NLL may keep falling beyond it.
+    so the NLL may keep falling beyond it.  It is ``near_bound(value)``;
+    ``calibrex eval``, which sees only the records' temperatures, applies
+    ``near_bound`` to those, so the flag and the warning agree.
     """
 
     value: float
@@ -100,7 +102,7 @@ def _nll_curve(logits: np.ndarray, labels: np.ndarray):
     rows, cols = np.nonzero(near)
     at = rows * k + cols
     values = logits[rows, cols]
-    z = np.empty_like(logits)
+    z = np.empty(logits.shape)  # C order, which ``at`` indexes
 
     def nll_at(t: float) -> float:
         np.divide(logits, t, out=z)

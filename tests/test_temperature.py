@@ -1,4 +1,5 @@
 """Tests for temperature fitting and application."""
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from calibrex import (
     PredictionSet,
     SplitSpec,
+    Temperature,
     apply_temperature,
     as_probabilities,
     fit_temperature,
@@ -13,9 +15,8 @@ from calibrex import (
     softmax,
     split,
 )
-from calibrex.temperature import (T_MAX, T_MIN, T_TOL, _as_logits,
-                                  _golden_section, _logsumexp_into,
-                                  _nll_curve)
+from calibrex.temperature import (T_MAX, T_MIN, T_TOL, _INV_PHI, _as_logits,
+                                  _logsumexp_into, _nll_curve)
 
 
 def logsumexp_rows(z):
@@ -73,10 +74,38 @@ def nll_at_unhoisted(logits, labels, t):
     return float(np.mean(lse - z[np.arange(z.shape[0]), labels]))
 
 
+def golden_section(nll_at):
+    """fit_temperature's golden-section search, kept here as an independent
+    reference: over log T in [T_MIN, T_MAX] on the curve ``nll_at``."""
+    def f(u):
+        return nll_at(math.exp(u))
+
+    lo, hi = math.log(T_MIN), math.log(T_MAX)
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while math.exp(hi) - math.exp(lo) > T_TOL:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = f(x2)
+    t_star = math.exp(0.5 * (lo + hi))
+    nll_one = nll_at(1.0)
+    nll_star = nll_at(t_star)
+    if not nll_star < nll_one:
+        return Temperature(1.0, nll_one, nll_one)
+    at_bound = t_star - T_MIN <= T_TOL or T_MAX - t_star <= T_TOL
+    return Temperature(t_star, nll_one, nll_star, at_bound)
+
+
 def fit_unhoisted(preds):
     """fit_temperature's golden-section search on ``nll_at_unhoisted``."""
     logits, labels = _as_logits(preds), preds.labels
-    return _golden_section(lambda t: nll_at_unhoisted(logits, labels, t))
+    return golden_section(lambda t: nll_at_unhoisted(logits, labels, t))
 
 
 def nll_curve_full_matrix(logits, labels):
@@ -344,8 +373,22 @@ def test_nll_curve_matches_full_matrix_bit_for_bit(name, logits, labels):
         full = nll_curve_full_matrix(logits[one], labels[one])
         for t in ts[::4]:
             assert fast(t) == full(t), (t, i)
-    assert _golden_section(_nll_curve(logits, labels)) == _golden_section(
+    assert fit_temperature(PredictionSet(logits, labels)) == golden_section(
         nll_curve_full_matrix(logits, labels))
+
+
+@pytest.mark.parametrize("name,logits,labels", list(full_matrix_cases()))
+def test_fit_ignores_the_memory_layout_of_the_scores(name, logits, labels):
+    # a Fortran-ordered input must fit the same bits as a C-ordered one
+    fortran = np.asfortranarray(logits)
+    preds = PredictionSet(fortran, labels)
+    assert preds.scores.flags.c_contiguous
+    assert fit_temperature(preds) == fit_temperature(
+        PredictionSet(logits, labels))
+    # and the curve itself must not assume the layout of its input
+    fast, full = _nll_curve(fortran, labels), _nll_curve(logits, labels)
+    for t in (T_MIN, 0.7, 1.0, 3.0, T_MAX):
+        assert fast(t) == full(t), t
 
 
 def test_fit_flags_a_temperature_pinned_at_a_bound():
