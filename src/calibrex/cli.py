@@ -11,15 +11,14 @@ import csv
 import json
 import multiprocessing
 import os
-import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, archspace, search, suite
-from .predictions import SplitSpec, read_csv_predictions, read_logits_file
+from .predictions import (SplitSpec, read_csv_predictions, read_logits_file,
+                          read_rows)
 from .temperature import T_MAX, T_MIN, near_bound
 
 DEFAULT_BINS = ",".join(str(b) for b in suite.DEFAULT_BIN_SIZES)
@@ -31,48 +30,24 @@ def _resolve_seed(value) -> int:
     return int(os.environ.get("CALIBREX_SEED", "0"))
 
 
-def _read_predictions(path: str, fmt: str):
-    if not os.path.exists(path):
-        raise OSError(f"no such file: {path}")
-    if fmt == "bin":
-        return read_logits_file(path)
-    return read_csv_predictions(path)
-
-
 def _read_confidences(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise OSError(f"no such file: {path}")
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:  # its args[0] would be "utf-8"
-        raise ValueError(f"{path}: {exc}") from None
-    try:
-        values = _load_confidences(lines)
-    except ValueError:
-        lineno = _first_bad_line(lines, _load_confidences)
-        raise ValueError(f"{path}:{lineno}: not a number: "
-                         f"{lines[lineno - 1].strip()!r}") from None
+    with open(path) as fh:
+        values = read_rows(path, fh, [("v", np.float64)], check=_finite)["v"]
     if values.size == 0:
         raise ValueError(f"{path}: no confidence values")
     return values
 
 
-def _load_confidences(lines) -> np.ndarray:
-    """One number per line; blank and whitespace-only lines are skipped."""
-    with warnings.catch_warnings():
-        # no values at all is the caller's "no confidence values" error
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    if data.shape[1] != 1:  # whitespace split every line in two or more
-        raise ValueError("more than one number on a line")
-    return data[:, 0]
+def _finite(data) -> None:
+    bad = ~np.isfinite(data["v"])
+    if bad.any():
+        raise ValueError(f"{data['v'][bad][0]} is not a finite number")
 
 
 def _eval_one(task):
     path, fmt, config = task
-    preds = _read_predictions(path, fmt)
-    return suite.run_suite(preds, config)
+    read = read_logits_file if fmt == "bin" else read_csv_predictions
+    return suite.run_suite(read(path), config)
 
 
 def cmd_eval(args) -> int:
@@ -113,10 +88,8 @@ def cmd_eval(args) -> int:
 
 
 def _read_table_csv(path: str) -> analysis.MetricTable:
-    if not os.path.exists(path):
-        raise OSError(f"no such file: {path}")
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header = next(csv.reader([fh.readline()]))
         if not header or header[0] != "arch_index":
             raise ValueError(f"{path}: first column must be arch_index")
         names = header[1:]
@@ -124,58 +97,12 @@ def _read_table_csv(path: str) -> analysis.MetricTable:
         # arch_index or a non-numeric cell raises ValueError
         dtype = [("arch_index", np.int64)] + [(f"c{i}", np.float64)
                                              for i in range(len(names))]
-        try:
-            data = _load_table_rows(fh, dtype)
-        except ValueError as exc:
-            # numpy's row number skips blank lines and counts from 0 or 1
-            # by error kind: drop it (and the `usecols` hint), name the line
-            msg = re.sub(r" at row \d+", "", str(exc).partition("; use")[0])
-            try:
-                where = f"line {_bad_table_line(path, dtype)}: "
-            except ValueError:  # the body does not decode: no line to name
-                where = ""
-            raise ValueError(f"{path}: {where}{msg}") from None
+        data = read_rows(path, fh, dtype, delimiter=",")
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
     return analysis.MetricTable(data["arch_index"],
                                 {name: data[f"c{i}"]
                                  for i, name in enumerate(names)})
-
-
-def _load_table_rows(rows, dtype) -> np.ndarray:
-    with warnings.catch_warnings():
-        # an empty body is the caller's "no data rows" error
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
-                          ndmin=1)
-
-
-def _bad_table_line(path: str, dtype) -> int:
-    """File line of the first table row that ``_load_table_rows`` rejects."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        header_lines = reader.line_num
-        body = fh.readlines()
-    return header_lines + _first_bad_line(
-        body, lambda rows: _load_table_rows(rows, dtype))
-
-
-def _first_bad_line(lines, load) -> int:
-    """1-based index of the first of ``lines`` that ``load`` rejects.
-
-    Runs only after ``load(lines)`` failed.  A prefix fails exactly when it
-    holds a bad line, so bisecting on prefix length finds that line.
-    """
-    good, bad = 0, len(lines)  # lines[:good] loads, lines[:bad] does not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            load(lines[:mid])
-            good = mid
-        except ValueError:
-            bad = mid
-    return bad
 
 
 def cmd_correlate(args) -> int:
@@ -200,8 +127,9 @@ def cmd_search(args) -> int:
     if args.benchmark == "synthetic":
         bench = search.synth_benchmark(args.space, seed=seed)
     else:
-        if not os.path.exists(args.benchmark):
-            raise OSError(f"no such file: {args.benchmark}")
+        # load_benchmark opens the index first: fail on the records file
+        # first, with open()'s own error
+        open(args.benchmark, "rb").close()
         bench = search.load_benchmark(args.benchmark)
         if bench.space != args.space:
             raise ValueError(f"benchmark is {bench.space}, "

@@ -8,7 +8,7 @@ int32 labels, and a CSV format with header ``label,s0,...,s{K-1}``.
 from __future__ import annotations
 
 import csv
-import io
+import re
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -295,22 +295,22 @@ def read_csv_predictions(path, kind: str = "auto") -> PredictionSet:
     if kind not in ("auto", "logits", "probabilities"):
         raise ValueError(f"bad kind {kind!r}")
     with open(path, newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise LogitsFileError(f"{path}: empty file") from None
+        line = fh.readline()
+        if not line:
+            raise LogitsFileError(f"{path}: empty file")
+        header = next(csv.reader([line]))
         k = len(header) - 1
         if k < 2 or header[0] != "label" or \
                 header[1:] != [f"s{i}" for i in range(k)]:
             raise LogitsFileError(f"{path}: line 1: bad header {header!r}")
-        body = fh.read()
-    try:
-        labels, scores = _load_csv_body(body, k)
-    except ValueError:
-        # the cell rules, which also name the first bad line
-        labels, scores = _parse_csv_body(path, body, k)
-    if labels.size == 0:
+        dtype = [("y", np.int64), ("s", np.float64, (k,))]
+        try:
+            data = read_rows(path, fh, dtype, delimiter=",")
+        except ValueError as exc:
+            raise LogitsFileError(*exc.args) from None
+    if data.size == 0:
         raise LogitsFileError(f"{path}: no data rows")
+    labels, scores = data["y"].copy(), data["s"].copy()
     if kind == "auto":
         in_range = scores.min() >= 0.0 and scores.max() <= 1.0
         is_prob = bool(in_range and
@@ -324,46 +324,59 @@ def read_csv_predictions(path, kind: str = "auto") -> PredictionSet:
     return _trusted(scores, labels, is_prob)
 
 
-# numpy strips these (and some non-ASCII characters) around a number,
-# where int() and float() do not
-_ODD_SPACE = "\x0b\x0c\x1c\x1d\x1e\x1f"
+# ---------------------------------------------------------------------------
+# text rows: the one reader of CSV predictions, OoD confidence files and
+# metric tables
+# ---------------------------------------------------------------------------
 
+def read_rows(path, fh, dtype, delimiter=None, check=None) -> np.ndarray:
+    """The rest of text file ``fh`` as one structured array of ``dtype``,
+    one row per line; empty lines are skipped.
 
-def _load_csv_body(body: str, k: int):
-    """Labels and scores of a CSV body by one ``np.loadtxt`` call.
-
-    Raises ValueError for any body whose cells or lines numpy might read
-    otherwise than ``_parse_csv_body``: without non-ASCII and
-    ``_ODD_SPACE`` characters, what loadtxt takes the cell rules take too,
-    with the same values, and the lines split the same.
+    The rows are parsed by one numpy ``loadtxt`` in its number syntax,
+    split on ``delimiter`` (None splits on whitespace); ``check``, if given,
+    raises ValueError for a parsed array it rejects.  ``fh`` must have been
+    advanced by ``readline()`` calls only, so that it can tell where the
+    body starts.  A rejected row raises ValueError ``path: line N: <message>``
+    with N the physical line of the first bad row; a body that is not UTF-8
+    raises ``path: <decoder message>``.  The lines are read only after a
+    failure, so a good file is streamed.
     """
-    if not body.isascii() or any(c in body for c in _ODD_SPACE):
-        raise ValueError("characters numpy reads otherwise")
-    dtype = np.dtype([("y", np.int64), ("s", np.float64, (k,))])
-    with warnings.catch_warnings():
-        # no rows at all is the caller's "no data rows" error
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(body.splitlines(), dtype=dtype, delimiter=",",
+    def load(rows):
+        data = np.loadtxt(rows, dtype=dtype, delimiter=delimiter,
                           comments=None, quotechar=None, ndmin=1)
-    return data["y"].copy(), data["s"].copy()
+        if check is not None:
+            check(data)
+        return data
 
-
-def _parse_csv_body(path, body: str, k: int):
-    """Labels by ``int()`` and scores by ``float()``, one CSV row at a time;
-    blank rows are skipped and the first bad row raises, naming its line."""
-    labels, rows = [], []
-    reader = csv.reader(io.StringIO(body, newline=""))
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != k + 1:
-            raise LogitsFileError(
-                f"{path}: line {lineno}: expected {k + 1} cells, got {len(row)}")
+    start = fh.tell()
+    with warnings.catch_warnings():
+        # an empty body is the caller's error
+        warnings.simplefilter("ignore", UserWarning)
         try:
-            labels.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
-        except ValueError:
-            raise LogitsFileError(
-                f"{path}: line {lineno}: non-numeric cell") from None
-    return (np.asarray(labels, dtype=np.int64),
-            np.asarray(rows, dtype=np.float64).reshape(-1, k))
+            return load(fh)
+        except ValueError as exc:  # a bad row, or a byte that is not UTF-8
+            error = exc
+        fh.seek(0)
+        head = 0  # lines before the body: the readline() calls that reach it
+        while fh.tell() != start:
+            fh.readline()
+            head += 1
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:  # its args[0] would be "utf-8"
+            raise ValueError(f"{path}: {exc}") from None
+        # a prefix fails exactly when it holds a bad line, so bisecting on
+        # prefix length finds the first one
+        good, bad = 0, len(lines)  # lines[:good] loads, lines[:bad] does not
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                load(lines[:mid])
+                good = mid
+            except ValueError as exc:
+                bad, error = mid, exc
+    # numpy's row number skips blank lines and counts from 0 or 1 by error
+    # kind: drop it (and the `usecols` hint), name the line
+    msg = re.sub(r" at row \d+", "", str(error).partition("; use")[0])
+    raise ValueError(f"{path}: line {head + bad}: {msg}")

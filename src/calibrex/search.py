@@ -24,6 +24,8 @@ from .suite import (MeasurementRecord, _is_int, atomic_output, iter_records,
                     write_records)
 
 OBJECTIVES = ("acc", "ece", "hcs")
+# the bin count of the ECE a benchmark file gives its architectures
+ECE_BINS = 15
 
 
 @dataclass
@@ -154,8 +156,7 @@ def _arch_parts(s: str, space: str):
 
 
 def write_benchmark(bench: TabularBenchmark, records_path: str,
-                    index_path: Optional[str] = None,
-                    ece_bins: int = 15) -> None:
+                    index_path: Optional[str] = None) -> None:
     """Persist a benchmark as suite-style JSONL plus an arch-index file."""
     if index_path is None:
         index_path = default_index_path(records_path)
@@ -167,7 +168,7 @@ def write_benchmark(bench: TabularBenchmark, records_path: str,
                                          "accuracy", None, "pre", "test",
                                          m["accuracy"]))
         records.append(MeasurementRecord("benchmark", bench.space, index[a],
-                                         "ece", ece_bins, "pre", "test",
+                                         "ece", ECE_BINS, "pre", "test",
                                          m["ece"]))
     write_records(records, records_path)
     with atomic_output(index_path) as tmp, open(tmp, "w") as fh:
@@ -207,17 +208,16 @@ def load_benchmark(records_path: str,
                    index_path: Optional[str] = None) -> TabularBenchmark:
     """Join suite JSONL records with the arch-string index.
 
-    Accuracy comes from "accuracy" records and ECE from "ece" records of
-    the pre stage on the test split (any bin count; the smallest wins if
-    several); records of other stages or splits are ignored.  The records
-    are streamed: every line is checked, none is kept.
+    Accuracy comes from "accuracy" records and ECE from "ece" records at
+    ``ECE_BINS`` bins, both of the pre stage on the test split; other
+    records are ignored.  The records are streamed: every line is checked,
+    none is kept.
     """
     if index_path is None:
         index_path = default_index_path(records_path)
     by_index = _read_index(index_path)
     spaces = set()
     metrics: Dict[str, Dict[str, float]] = {}
-    ece_bins: Dict[str, int] = {}
     for rec in iter_records(records_path):
         spaces.add(rec["search_space"])
         if rec["stage"] != "pre" or rec["split"] != "test" \
@@ -227,16 +227,15 @@ def load_benchmark(records_path: str,
         slot = metrics.setdefault(arch, {})
         if rec["metric"] == "accuracy":
             slot["accuracy"] = rec["value"]
-        elif rec["metric"] == "ece":
-            if "ece" not in slot or rec["bin_count"] < ece_bins[arch]:
-                slot["ece"] = rec["value"]
-                ece_bins[arch] = rec["bin_count"]
+        elif rec["metric"] == "ece" and rec["bin_count"] == ECE_BINS:
+            slot["ece"] = rec["value"]
     if len(spaces) != 1:
         raise ValueError(f"records mix search spaces {sorted(spaces)}")
     complete = sorted(a for a, m in metrics.items()
                       if "accuracy" in m and "ece" in m)
     if not complete:
-        raise ValueError("no architecture has both accuracy and ece records")
+        raise ValueError("no architecture has both accuracy and ece records "
+                         f"at {ECE_BINS} bins")
     return TabularBenchmark(spaces.pop(),
                             {a: metrics[a] for a in complete}, complete)
 

@@ -183,17 +183,17 @@ def test_eval_bad_ood_content(tmp_path, logits_file, capsys):
     rc = main(["eval", "--logits", logits_file, "--ood-in", str(bad),
                "--ood-out", str(bad), "--out", out])
     assert rc == 2
-    assert ":2: not a number" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 2: could not convert string 'hello' to "
+        "float64, column 1.\n")
 
 
 @pytest.mark.parametrize("content, message", [
-    ("0.5\n0.25 0.75\n", ":2: not a number: '0.25 0.75'"),
-    ("0.5 0.6\n0.25 0.75\n", ":1: not a number: '0.5 0.6'"),
-    ("0.5\n0.5,0.6\n", ":2: not a number: '0.5,0.6'"),
-    ("\n   \n0.5\n\t\nhello\n", ":5: not a number: 'hello'"),
     ("", "no confidence values"),
     ("\n  \n\t\n", "no confidence values"),
     (b"0.5\n\xff\n", "can't decode byte 0xff"),
+    ("0.5\nnan\n", "line 2: nan is not a finite number"),
+    ("\n0.5\n\n-inf\ninf\n", "line 4: -inf is not a finite number"),
 ])
 def test_eval_ood_lines_hold_one_number(tmp_path, logits_file, ood_files,
                                         capsys, content, message):
@@ -344,22 +344,60 @@ def test_correlate_bad_table_exits_2_with_one_line(tmp_path, capsys, body,
     assert not (tmp_path / "m.csv").exists()
 
 
-@pytest.mark.parametrize("body, line, where", [
-    ("0,0.5,1\n1,0.25\n", 3, "2 were found"),            # short row
-    ("0,0.5,1\n1,0.25,abc\n", 3, "'abc'"),               # bad cell
-    ("\n0,0.5,1\n\n1,0.25,abc\n2,1,2\n", 5, "'abc'"),   # blank lines
-    ("0,0.5,1\n1,2,3\n2,3,4\n3,4\n4,5,6\n", 5, "2 were found"),
-], ids=["short-row", "bad-cell", "after-blank-lines", "fifth-line"])
-def test_correlate_bad_table_names_the_file_line(tmp_path, capsys, body,
+HEADERS = {"table": "arch_index,a,b\n", "csv": "label,s0,s1\n", "ood": ""}
+
+
+@pytest.mark.parametrize("reader, body, line, where", [
+    ("table", "0,0.5,1\n1,0.25\n", 3, "2 were found"),
+    ("table", "0,0.5,1\n1,0.25,abc\n", 3, "'abc'"),
+    ("table", "\n0,0.5,1\n\n1,0.25,abc\n2,1,2\n", 5, "'abc'"),
+    ("table", "0,0.5,1\n1,2,3\n2,3,4\n3,4\n4,5,6\n", 5, "2 were found"),
+    ("csv", "0,0.5,0.5\n1,0.25\n", 3, "requires 3 columns but 2 were found"),
+    ("csv", "0,0.5,0.5\n1,0.25,abc\n", 3,
+     "could not convert string 'abc' to float64, column 3."),
+    ("csv", "\n0,0.5,0.5\n\n1,0.25,abc\n1,0.5,0.5\n", 5, "'abc'"),
+    ("ood", "0.5\n0.25 0.75\n", 2, "requires 1 columns but 2 were found"),
+    ("ood", "0.5 0.6\n0.25 0.75\n", 1, "requires 1 columns but 2 were found"),
+    ("ood", "0.5\n0.5,0.6\n", 2, "could not convert string '0.5,0.6'"),
+    ("ood", "\n   \n0.5\n\t\nhello\n", 5, "'hello'"),
+    # the no-line forms: a byte that is not UTF-8 past the header read's
+    # first 8 KiB chunk (also after a bad row), an empty body, a missing file
+    ("csv", b"0,0.5,0.5\n" * 2000 + b"1,\xff,0.5\n", None,
+     "can't decode byte 0xff"),
+    ("ood", b"0.5\n" * 2000 + b"\xff\n", None, "can't decode byte 0xff"),
+    ("table", b"0,abc,1\n" + b"0,0.5,1\n" * 2000 + b"9,\xff,1\n", None,
+     "can't decode byte 0xff"),
+    ("csv", "", None, "no data rows"),
+    ("table", None, None, "No such file or directory"),
+    ("csv", None, None, "No such file or directory"),
+    ("ood", None, None, "No such file or directory"),
+], ids=["short-row", "bad-cell", "after-blank-lines", "fifth-line",
+        "csv-short-row", "csv-bad-cell", "csv-after-blank-lines",
+        "ood-two-numbers", "ood-two-numbers-first-line", "ood-comma",
+        "ood-after-blank-lines", "csv-not-utf8", "ood-not-utf8",
+        "table-bad-row-then-not-utf8", "csv-empty",
+        "table-missing", "csv-missing", "ood-missing"])
+def test_correlate_bad_table_names_the_file_line(tmp_path, capsys, logits_file,
+                                                 ood_files, reader, body,
                                                  line, where):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("arch_index,a,b\n" + body)
-    rc = main(["correlate", "--table", str(bad),
-               "--out", str(tmp_path / "m.csv")])
+    # every text reader: correlate tables, CSV predictions and OoD files
+    bad, out = tmp_path / "bad.txt", tmp_path / "out.csv"
+    if isinstance(body, bytes):
+        bad.write_bytes(HEADERS[reader].encode() + body)
+    elif body is not None:
+        bad.write_text(HEADERS[reader] + body)
+    argv = {"table": ["correlate", "--table", str(bad)],
+            "csv": ["eval", "--logits", str(bad), "--format", "csv"],
+            "ood": ["eval", "--logits", logits_file, "--ood-in",
+                    ood_files[0], "--ood-out", str(bad)]}[reader]
+    rc = main(argv + ["--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: line {line}: ")
-    assert where in err and "row" not in err
+    prefix = f"error: {bad}: " if line is None else \
+        f"error: {bad}: line {line}: "
+    assert err.count("\n") == 1 and err.startswith(prefix)
+    assert where in err and "at row" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

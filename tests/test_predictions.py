@@ -1,4 +1,5 @@
 """Tests for prediction containers, softmax, splits, and score-file IO."""
+import re
 import struct
 
 import mpmath
@@ -19,9 +20,7 @@ from calibrex import (
     write_csv_predictions,
     write_logits_file,
 )
-from calibrex import predictions
-from calibrex.predictions import (FORMAT_VERSION, MAGIC, _HEADER,
-                                  _parse_csv_body)
+from calibrex.predictions import FORMAT_VERSION, MAGIC, _HEADER
 
 
 def random_preds(rng, n, k, probabilities=False):
@@ -403,10 +402,13 @@ def test_csv_header_errors(tmp_path):
 def test_csv_row_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("label,s0,s1\n0,0.1,0.9\n1,0.4\n")
-    with pytest.raises(LogitsFileError, match="line 3: expected 3 cells, got 2"):
+    with pytest.raises(LogitsFileError, match=re.escape(
+            f"{path}: line 3: the dtype passed requires 3 columns but 2 "
+            "were found")):
         read_csv_predictions(path)
     path.write_text("label,s0,s1\n0,0.1,0.9\n1,abc,0.2\n")
-    with pytest.raises(LogitsFileError, match="line 3: non-numeric cell"):
+    with pytest.raises(LogitsFileError, match=re.escape(
+            f"{path}: line 3: could not convert string 'abc' to float64")):
         read_csv_predictions(path)
     path.write_text("label,s0,s1\n")
     with pytest.raises(LogitsFileError, match="no data rows"):
@@ -427,41 +429,43 @@ def test_csv_bad_label_reported_with_path(tmp_path):
         read_csv_predictions(path)
 
 
-def test_csv_reads_every_spelling_the_cell_rules_take(tmp_path, monkeypatch):
+def test_csv_reads_every_spelling_the_cell_rules_take(tmp_path):
+    # the cell rules are numpy's number syntax
     path = tmp_path / "s.csv"
-    # numpy's loader takes these; the int()/float() cell rules give the
-    # same arrays
     path.write_text("label,s0,s1,s2\n"
                     "0,1e-3, 0.5 ,+0.25\n"
                     "2,-0,.5,5.\n"
                     "1,\t-1.25E+2,0.1,0.2\r\n"
                     "1,0.30000000000000004,1e-320,-2\n")
-    with monkeypatch.context() as m:  # numpy's loader alone reads it
-        m.setattr(predictions, "_parse_csv_body", None)
-        got = read_csv_predictions(path)
-    body = path.read_text().split("\n", 1)[1]
-    labels, scores = _parse_csv_body(path, body, 3)
-    assert np.array_equal(got.labels, labels)
-    assert got.scores.tobytes() == scores.tobytes()
-    assert np.array_equal(got.labels, [0, 2, 1, 1])
-    assert got.scores[1, 0] == 0.0 and np.signbit(got.scores[1, 0])
-    # and these only int() and float() take: the file still reads
-    path.write_text('label,s0,s1\n0_1,0.2_5,"0.75"\n٠,\xa00.5,0.5\n')
     got = read_csv_predictions(path)
-    assert np.array_equal(got.labels, [1, 0])
-    assert np.array_equal(got.scores, [[0.25, 0.75], [0.5, 0.5]])
-    assert got.is_probabilities
-
-
-def test_csv_cells_numpy_would_strip_stay_errors(tmp_path):
-    # numpy's loader strips \x1c-\x1f around a number; float() does not,
-    # and the file stays the error it was
-    path = tmp_path / "c.csv"
-    for ch in "\x1c\x1d\x1e\x1f":
-        path.write_text(f"label,s0,s1\n0,0.5,0.5\n1,0.5{ch},0.5\n")
-        with pytest.raises(LogitsFileError, match="line 3: non-numeric cell"):
+    want = np.array([[1e-3, 0.5, 0.25], [-0.0, 0.5, 5.0],
+                     [-125.0, 0.1, 0.2], [0.30000000000000004, 1e-320, -2.0]])
+    assert np.array_equal(got.labels, [0, 2, 1, 1])
+    assert got.scores.tobytes() == want.tobytes()
+    assert np.signbit(got.scores[1, 0])
+    # Python-only spellings are rejected, naming the line and the cell
+    for row, cell in (("0_1,0.25,0.75", "'0_1' to int64"),
+                      ("1,0.2_5,0.75", "'0.2_5' to float64"),
+                      ('1,"0.75",0.25', """'"0.75"' to float64"""),
+                      ("\u0660,0.5,0.5", "'\u0660' to int64")):
+        path.write_text(f"label,s0,s1\n0,0.5,0.5\n\n{row}\n")
+        with pytest.raises(LogitsFileError, match=re.escape(
+                f"{path}: line 4: could not convert string {cell}")):
             read_csv_predictions(path)
+
+
+def test_csv_cells_numpy_strips_are_read(tmp_path):
+    # numpy strips \x1c-\x1f and Unicode spaces such as NBSP around a
+    # number, and splits lines only at \r and \n
+    path = tmp_path / "c.csv"
+    for ch in "\x1c\x1d\x1e\x1f\x0b\x0c\xa0\x85\u2028":
+        path.write_text(f"label,s0,s1\n0,0.5,0.5\n1,0.5{ch},{ch}0.5\n",
+                        newline="")
+        got = read_csv_predictions(path)
+        assert np.array_equal(got.labels, [0, 1])
+        assert np.array_equal(got.scores, np.full((2, 2), 0.5))
     # a whitespace-only line is a one-cell row, not a blank one
     path.write_text("label,s0,s1\n0,0.5,0.5\n \n")
-    with pytest.raises(LogitsFileError, match="line 3: expected 3 cells, got 1"):
+    with pytest.raises(LogitsFileError, match=re.escape(
+            "line 3: the dtype passed requires 3 columns but 1 were found")):
         read_csv_predictions(path)

@@ -149,19 +149,24 @@ def test_default_index_path():
     assert default_index_path("b.records") == "b.records.index.json"
 
 
-def test_load_benchmark_prefers_smallest_ece_bin(tmp_path):
+def test_load_benchmark_reads_ece_at_15_bins(tmp_path):
+    # an eval file holds ece at several bin counts: the 15-bin one is read,
+    # whatever the order, and a file without it names the bin count
     from calibrex import MeasurementRecord, write_records
     arch = enumerate_tss()[0].to_string()
-    records = [
-        MeasurementRecord("b", "tss", 0, "accuracy", None, "pre", "test", 0.9),
-        MeasurementRecord("b", "tss", 0, "ece", 15, "pre", "test", 0.30),
-        MeasurementRecord("b", "tss", 0, "ece", 5, "pre", "test", 0.10),
-    ]
+    acc = MeasurementRecord("b", "tss", 0, "accuracy", None, "pre", "test",
+                            0.9)
+    eces = [MeasurementRecord("b", "tss", 0, "ece", bins, "pre", "test", v)
+            for bins, v in ((5, 0.10), (15, 0.30), (20, 0.40))]
     path = str(tmp_path / "r.jsonl")
-    write_records(records, path)
     (tmp_path / "r.index.json").write_text(json.dumps({arch: 0}))
-    bench = load_benchmark(path)
-    assert bench.query(arch) == {"accuracy": 0.9, "ece": 0.10}
+    for order in (eces, eces[::-1]):
+        write_records([acc] + order, path)
+        assert load_benchmark(path).query(arch) == {"accuracy": 0.9,
+                                                    "ece": 0.30}
+    write_records([acc, eces[0], eces[2]], path)
+    with pytest.raises(ValueError, match="ece records at 15 bins"):
+        load_benchmark(path)
 
 
 def test_load_benchmark_reads_the_test_split_only(tmp_path):
