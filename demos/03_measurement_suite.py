@@ -3,8 +3,8 @@
 Runs the default measurement suite on synthetic logits: every binned
 metric at every default bin count, the continuous metrics, both before
 and after temperature scaling, plus max-softmax AUROC against two
-out-of-distribution confidence streams.  Records are written to JSONL
-and read back to show the round trip.
+out-of-distribution confidence streams.  Records are written to JSONL,
+streamed back, and pivoted into one table row of metric columns.
 """
 import collections
 import tempfile
@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from calibrex import (
+    MeasurementRecord,
     PredictionSet,
     SuiteConfig,
+    iter_records,
     metric_key,
-    read_records,
+    pivot,
     run_suite,
     write_records,
 )
@@ -55,11 +57,18 @@ def main():
 
     out = Path(tempfile.mkdtemp()) / "records.jsonl"
     write_records(records, out)
-    back = read_records(out)
+    back = [MeasurementRecord(**rec) for rec in iter_records(out)]
     print(f"\nwrote {out} ({out.stat().st_size} bytes), "
           f"read back {len(back)} records, equal={back == records}")
     print("first line:")
     print(" ", out.read_text().splitlines()[0][:100], "...")
+
+    # one cell per (arch_index, metric key): a second eval's records for
+    # the same arch_index would fail here instead of overwriting a cell
+    space, table = pivot(iter_records(out))
+    print(f"\npivoted: {space} space, {table.n_rows} row(s) x "
+          f"{len(table.columns)} metric columns; "
+          f"ece_15_post = {table.column('ece_15_post')[0]:.4f}")
 
 
 if __name__ == "__main__":

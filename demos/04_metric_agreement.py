@@ -14,8 +14,8 @@ from calibrex import (
     correlation_matrix,
     hcs,
     run_suite,
+    pivot,
     softmax,
-    table_from_records,
     top_k_by,
 )
 
@@ -42,7 +42,8 @@ def main():
                              include_accuracy=True, arch_index=i)
         records.extend(run_suite(preds, config))
 
-    table = table_from_records(records)
+    # one row per arch_index, one column per metric key
+    _, table = pivot(r.to_dict() for r in records)
     quality = hcs(table.column("accuracy_pre"), table.column("ece_15_pre"))
     table = MetricTable(table.arch_index,
                         {**table.columns, "hcs_pre": quality})

@@ -35,6 +35,11 @@ def main():
     obj = make_objective("acc")
     print(f"space size {len(bench)}, planted optimum:\n  "
           f"{planted.to_string()}")
+    # the benchmark stores one column per metric over bench.archs
+    acc = bench.metrics["accuracy"]
+    print(f"accuracy column: {acc.size} values, "
+          f"{int((acc > 0.85).sum())} above 0.85 (the optimum and its "
+          f"one-edit neighbors)")
     print(f"each architecture has {len(neighbors(planted))} one-edit "
           f"neighbors; a mutation flips one edge, e.g.")
     print(f"  {mutate(planted, np.random.default_rng(0)).to_string()}")

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, archspace, search, suite
-from .predictions import (SplitSpec, read_csv_predictions, read_logits_file,
-                          read_rows)
+from .predictions import (SplitSpec, read_csv_predictions, read_header,
+                          read_logits_file, read_rows)
 from .temperature import T_MAX, T_MIN, near_bound
 
 DEFAULT_BINS = ",".join(str(b) for b in suite.DEFAULT_BIN_SIZES)
@@ -89,7 +89,7 @@ def cmd_eval(args) -> int:
 
 def _read_table_csv(path: str) -> analysis.MetricTable:
     with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]))
+        header = read_header(path, fh)
         if not header or header[0] != "arch_index":
             raise ValueError(f"{path}: first column must be arch_index")
         names = header[1:]
@@ -127,9 +127,6 @@ def cmd_search(args) -> int:
     if args.benchmark == "synthetic":
         bench = search.synth_benchmark(args.space, seed=seed)
     else:
-        # load_benchmark opens the index first: fail on the records file
-        # first, with open()'s own error
-        open(args.benchmark, "rb").close()
         bench = search.load_benchmark(args.benchmark)
         if bench.space != args.space:
             raise ValueError(f"benchmark is {bench.space}, "
@@ -150,12 +147,15 @@ def cmd_search(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.dedupe and args.space != "tss":
+        raise ValueError("--dedupe needs --space tss: fingerprint classes "
+                         "exist for topology cells only")
     if args.space == "tss":
         archs = archspace.enumerate_tss()
     else:
         archs = archspace.enumerate_sss()
     lines = []
-    if args.dedupe and args.space == "tss":
+    if args.dedupe:
         seen = set()
         for a in archs:
             fp = archspace.canonical_fingerprint(a)

@@ -257,10 +257,6 @@ def read_logits_file(path) -> PredictionSet:
                               f"({len(body)} of {n * rec_size} bytes)")
     rec = np.frombuffer(body, dtype=np.dtype([("s", "<f4", (k,)), ("y", "<i4")]))
     labels = rec["y"].astype(np.int64)
-    if n and (labels.min() < 0 or labels.max() >= k):
-        bad = int(np.argwhere((labels < 0) | (labels >= k))[0, 0])
-        raise LogitsFileError(
-            f"{path}: label {labels[bad]} out of range [0, {k}) in record {bad}")
     scores = rec["s"].astype(np.float64)
     try:
         _check(scores, labels, bool(flag))
@@ -295,16 +291,15 @@ def read_csv_predictions(path, kind: str = "auto") -> PredictionSet:
     if kind not in ("auto", "logits", "probabilities"):
         raise ValueError(f"bad kind {kind!r}")
     with open(path, newline="") as fh:
-        line = fh.readline()
-        if not line:
-            raise LogitsFileError(f"{path}: empty file")
-        header = next(csv.reader([line]))
-        k = len(header) - 1
-        if k < 2 or header[0] != "label" or \
-                header[1:] != [f"s{i}" for i in range(k)]:
-            raise LogitsFileError(f"{path}: line 1: bad header {header!r}")
-        dtype = [("y", np.int64), ("s", np.float64, (k,))]
         try:
+            header = read_header(path, fh)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            k = len(header) - 1
+            if k < 2 or header[0] != "label" or \
+                    header[1:] != [f"s{i}" for i in range(k)]:
+                raise ValueError(f"{path}: line 1: bad header {header!r}")
+            dtype = [("y", np.int64), ("s", np.float64, (k,))]
             data = read_rows(path, fh, dtype, delimiter=",")
         except ValueError as exc:
             raise LogitsFileError(*exc.args) from None
@@ -328,6 +323,16 @@ def read_csv_predictions(path, kind: str = "auto") -> PredictionSet:
 # text rows: the one reader of CSV predictions, OoD confidence files and
 # metric tables
 # ---------------------------------------------------------------------------
+
+def read_header(path, fh):
+    """The first line of text file ``fh`` as CSV cells, None if it is empty;
+    a byte that is not UTF-8 raises ValueError ``path: <decoder message>``."""
+    try:
+        line = fh.readline()
+    except UnicodeDecodeError as exc:  # its args[0] would be "utf-8"
+        raise ValueError(f"{path}: {exc}") from None
+    return next(csv.reader([line])) if line else None
+
 
 def read_rows(path, fh, dtype, delimiter=None, check=None) -> np.ndarray:
     """The rest of text file ``fh`` as one structured array of ``dtype``,

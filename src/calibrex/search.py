@@ -1,6 +1,6 @@
 """Tabular-benchmark queries and architecture search.
 
-A TabularBenchmark maps architecture strings to measured metrics; searches
+A TabularBenchmark holds metric columns over architecture strings; searches
 maximize a scalar objective (accuracy, negated ECE, or the harmonic
 accuracy/calibration score) by querying it.  All three algorithms are
 seed-deterministic, count memoized re-evaluations against their budget,
@@ -11,39 +11,39 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .analysis import hcs
+from .analysis import MetricTable, hcs
 from .archspace import (SSS_CHANNELS, TSS_OPS, SssArch, TssArch,
                         enumerate_sss, enumerate_tss, parse_arch, sss_string,
                         tss_string)
-from .suite import (MeasurementRecord, _is_int, atomic_output, iter_records,
-                    write_records)
+from .suite import (MeasurementRecord, PivotError, _is_int, atomic_output,
+                    iter_records, pivot, write_records)
 
 OBJECTIVES = ("acc", "ece", "hcs")
 # the bin count of the ECE a benchmark file gives its architectures
 ECE_BINS = 15
 
 
-@dataclass
+@dataclass(eq=False)
 class TabularBenchmark:
-    """Architecture string -> metrics lookup over a declared space."""
+    """Metric name -> float64 column, entry i for ``archs[i]``, in a space."""
 
     space: str
-    metrics: Dict[str, Dict[str, float]]
-    archs: List[str] = field(default_factory=list)
+    metrics: Dict[str, np.ndarray]
+    archs: List[str]
 
     def __post_init__(self):
         if self.space not in ("tss", "sss"):
             raise ValueError(f"bad space {self.space!r}")
-        if not self.archs:
-            self.archs = sorted(self.metrics)
-        for a in self.archs:
-            if a not in self.metrics:
-                raise ValueError(f"declared arch {a!r} has no metrics")
+        self.metrics = MetricTable(range(len(self.archs)),
+                                   self.metrics).columns
+        self._row = {a: i for i, a in enumerate(self.archs)}
+        if len(self._row) != len(self.archs):
+            raise ValueError("an architecture is listed twice")
 
     def __len__(self) -> int:
         return len(self.archs)
@@ -51,39 +51,27 @@ class TabularBenchmark:
     def query(self, arch) -> Dict[str, float]:
         key = arch if isinstance(arch, str) else arch.to_string()
         try:
-            return self.metrics[key]
+            i = self._row[key]
         except KeyError:
             raise KeyError(f"architecture {key!r} not in benchmark") \
                 from None
+        return {name: float(col[i]) for name, col in self.metrics.items()}
 
     def scores(self, objective: "Objective") -> Dict[str, float]:
-        """The objective of every architecture with metrics, keyed by arch.
+        """The objective of every architecture, keyed by arch.
 
-        One call of ``objective.fn`` over whole metric columns scores them
+        One call of ``objective.fn`` over the metric columns scores them
         all, so an out-of-range value anywhere fails here.
         """
-        values = objective.fn(_Columns(self.metrics.values()))
-        values = np.broadcast_to(np.asarray(values, dtype=np.float64),
-                                 (len(self.metrics),))
-        return dict(zip(self.metrics, values.tolist()))
+        values = np.broadcast_to(
+            np.asarray(objective.fn(self.metrics), dtype=np.float64),
+            (len(self.archs),))
+        return dict(zip(self.archs, values.tolist()))
 
     def argmax(self, objective: "Objective"):
         scores = self.scores(objective)
         best = max(self.archs, key=scores.__getitem__)
         return best, scores[best]
-
-
-class _Columns(dict):
-    """Metric name -> float64 column over metrics dicts, built on first use."""
-
-    def __init__(self, rows):
-        super().__init__()
-        self.rows = rows
-
-    def __missing__(self, name: str) -> np.ndarray:
-        column = self[name] = np.array([m[name] for m in self.rows],
-                                       dtype=np.float64)
-        return column
 
 
 @dataclass(frozen=True)
@@ -135,7 +123,7 @@ def synth_benchmark(space: str = "tss", seed: int = 0,
         if planted not in set(archs):
             raise ValueError("planted architecture must belong to the space")
         plant_parts = _arch_parts(planted, space)
-    metrics = {}
+    accs, eces = [], []
     for s in archs:
         if plant_parts is None:
             acc = _unit_hash(seed, "acc", s)
@@ -146,8 +134,9 @@ def synth_benchmark(space: str = "tss", seed: int = 0,
             acc = 1.0 if d == 0 else \
                 1.0 - 0.12 * d - 0.02 * _unit_hash(seed, "acc", s)
             ece = 0.02 + 0.2 * _unit_hash(seed, "ece", s)
-        metrics[s] = {"accuracy": acc, "ece": ece}
-    return TabularBenchmark(space, metrics, archs)
+        accs.append(acc)
+        eces.append(ece)
+    return TabularBenchmark(space, {"accuracy": accs, "ece": eces}, archs)
 
 
 def _arch_parts(s: str, space: str):
@@ -160,19 +149,14 @@ def write_benchmark(bench: TabularBenchmark, records_path: str,
     """Persist a benchmark as suite-style JSONL plus an arch-index file."""
     if index_path is None:
         index_path = default_index_path(records_path)
-    index = {a: i for i, a in enumerate(bench.archs)}
-    records = []
-    for a in bench.archs:
-        m = bench.query(a)
-        records.append(MeasurementRecord("benchmark", bench.space, index[a],
-                                         "accuracy", None, "pre", "test",
-                                         m["accuracy"]))
-        records.append(MeasurementRecord("benchmark", bench.space, index[a],
-                                         "ece", ECE_BINS, "pre", "test",
-                                         m["ece"]))
+    cells = (("accuracy", None), ("ece", ECE_BINS))
+    records = [MeasurementRecord("benchmark", bench.space, i, metric, bins,
+                                 "pre", "test", bench.metrics[metric][i])
+               for i in range(len(bench)) for metric, bins in cells]
     write_records(records, records_path)
     with atomic_output(index_path) as tmp, open(tmp, "w") as fh:
-        json.dump(index, fh, sort_keys=True)
+        json.dump({a: i for i, a in enumerate(bench.archs)}, fh,
+                  sort_keys=True)
 
 
 def default_index_path(records_path: str) -> str:
@@ -206,38 +190,34 @@ def _read_index(index_path: str) -> Dict[int, str]:
 
 def load_benchmark(records_path: str,
                    index_path: Optional[str] = None) -> TabularBenchmark:
-    """Join suite JSONL records with the arch-string index.
+    """Join suite JSONL records, pivoted, with the arch-string index.
 
     Accuracy comes from "accuracy" records and ECE from "ece" records at
-    ``ECE_BINS`` bins, both of the pre stage on the test split; other
-    records are ignored.  The records are streamed: every line is checked,
-    none is kept.
+    ``ECE_BINS`` bins, both of the pre stage on the test split; every
+    architecture needs both once, and an index entry.  Other records are
+    checked and ignored.  The records are read before the index.
     """
     if index_path is None:
         index_path = default_index_path(records_path)
+    keys = ("accuracy_pre", f"ece_{ECE_BINS}_pre")
+    try:
+        space, table = pivot(iter_records(records_path), keys)
+    except PivotError as exc:
+        raise ValueError(f"{records_path}: {exc}") from None
+    if not set(keys) <= table.columns.keys():
+        raise ValueError(f"{records_path}: no architecture has both accuracy "
+                         f"and ece records at {ECE_BINS} bins")
     by_index = _read_index(index_path)
-    spaces = set()
-    metrics: Dict[str, Dict[str, float]] = {}
-    for rec in iter_records(records_path):
-        spaces.add(rec["search_space"])
-        if rec["stage"] != "pre" or rec["split"] != "test" \
-                or rec["arch_index"] not in by_index:
-            continue
-        arch = by_index[rec["arch_index"]]
-        slot = metrics.setdefault(arch, {})
-        if rec["metric"] == "accuracy":
-            slot["accuracy"] = rec["value"]
-        elif rec["metric"] == "ece" and rec["bin_count"] == ECE_BINS:
-            slot["ece"] = rec["value"]
-    if len(spaces) != 1:
-        raise ValueError(f"records mix search spaces {sorted(spaces)}")
-    complete = sorted(a for a, m in metrics.items()
-                      if "accuracy" in m and "ece" in m)
-    if not complete:
-        raise ValueError("no architecture has both accuracy and ece records "
-                         f"at {ECE_BINS} bins")
-    return TabularBenchmark(spaces.pop(),
-                            {a: metrics[a] for a in complete}, complete)
+    names = []
+    for i in table.arch_index.tolist():
+        if i not in by_index:
+            raise ValueError(f"{index_path}: no architecture for arch_index "
+                             f"{i} of {records_path}")
+        names.append(by_index[i])
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return TabularBenchmark(space, {
+        "accuracy": table.columns[keys[0]][order],
+        "ece": table.columns[keys[1]][order]}, [names[i] for i in order])
 
 
 @dataclass(frozen=True)

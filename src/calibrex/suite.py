@@ -13,7 +13,8 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -47,12 +48,7 @@ class MeasurementRecord:
         check_record(vars(self))
 
     def to_dict(self) -> dict:
-        return {"benchmark_dataset": self.benchmark_dataset,
-                "search_space": self.search_space,
-                "arch_index": self.arch_index, "metric": self.metric,
-                "bin_count": self.bin_count, "stage": self.stage,
-                "split": self.split, "value": self.value,
-                "temperature": self.temperature}
+        return dict(vars(self))
 
 
 _RECORD_FIELDS = frozenset(f.name for f in fields(MeasurementRecord))
@@ -274,41 +270,60 @@ def iter_records(path) -> Iterator[dict]:
             yield rec
 
 
-def read_records(path) -> List[MeasurementRecord]:
-    return [MeasurementRecord(**rec) for rec in iter_records(path)]
+def metric_key(record) -> str:
+    """Flat column name: metric[_bins]_stage, e.g. ece_15_pre, nll_post,
+    of a MeasurementRecord or a record dict."""
+    if not isinstance(record, dict):
+        record = vars(record)
+    bins = record["bin_count"]
+    mid = f"_{bins}" if bins is not None else ""
+    return f"{record['metric']}{mid}_{record['stage']}"
 
 
-def metric_key(record: MeasurementRecord) -> str:
-    """Flat column name: metric[_bins]_stage, e.g. ece_15_pre, nll_post."""
-    mid = f"_{record.bin_count}" if record.bin_count is not None else ""
-    return f"{record.metric}{mid}_{record.stage}"
+class PivotError(ValueError):
+    """A record stream that does not pivot into one table."""
 
 
-def table_from_records(records: Sequence[MeasurementRecord],
-                       split: str = "test") -> MetricTable:
-    """Pivot records into a MetricTable (rows archs, columns metric keys).
+def pivot(records: Iterable[dict], keys: Optional[Sequence[str]] = None
+          ) -> Tuple[str, MetricTable]:
+    """The one pivot from records to cells: (search space, MetricTable).
 
-    Fails if any architecture is missing a column present for another, so
-    correlations downstream never see missing cells.
+    ``records`` are record dicts (``iter_records``, ``r.to_dict()``); only
+    the test split is read.  Rows are the ``arch_index`` values in
+    ascending order, columns the ``metric_key`` names, only those in
+    ``keys`` when given.  Raises PivotError for a second value of one
+    cell, records of two search spaces, a cell that one architecture lacks
+    while another has it, and no test records at all.
     """
+    space = None
+    archs = set()
     cells: Dict[str, Dict[int, float]] = {}
-    archs = []
-    seen = set()
-    for r in records:
-        if r.split != split:
+    for rec in records:
+        if space not in (None, rec["search_space"]):
+            raise PivotError(f"records mix search spaces {space!r} and "
+                             f"{rec['search_space']!r}")
+        space = rec["search_space"]
+        if rec["split"] != "test":
             continue
-        if r.arch_index not in seen:
-            seen.add(r.arch_index)
-            archs.append(r.arch_index)
-        cells.setdefault(metric_key(r), {})[r.arch_index] = r.value
+        arch = rec["arch_index"]
+        archs.add(arch)
+        key = metric_key(rec)
+        if keys is not None and key not in keys:
+            continue
+        column = cells.setdefault(key, {})
+        if arch in column:
+            raise PivotError(f"second value for {key} at arch_index {arch} "
+                             f"(benchmark_dataset "
+                             f"{rec['benchmark_dataset']!r})")
+        column[arch] = rec["value"]
     if not archs:
-        raise ValueError(f"no records with split {split!r}")
-    archs.sort()
+        raise PivotError("no records with split 'test'")
+    rows = sorted(archs)
     columns = {}
     for name, by_arch in sorted(cells.items()):
-        missing = [a for a in archs if a not in by_arch]
-        if missing:
-            raise ValueError(f"column {name!r} missing for arch(es) "
+        if len(by_arch) != len(rows):
+            missing = [a for a in rows if a not in by_arch]
+            raise PivotError(f"column {name!r} missing for arch(es) "
                              f"{missing[:5]}")
-        columns[name] = np.array([by_arch[a] for a in archs])
-    return MetricTable(np.array(archs), columns)
+        columns[name] = np.array([by_arch[a] for a in rows])
+    return space, MetricTable(np.array(rows), columns)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from calibrex import (
+    MeasurementRecord,
     PredictionSet,
     SearchConfig,
     SplitSpec,
@@ -42,8 +43,8 @@ from calibrex import (
     nll,
     parse_arch,
     random_search,
+    iter_records,
     read_logits_file,
-    read_records,
     regularized_evolution,
     local_search,
     run_suite,
@@ -528,7 +529,7 @@ def test_criterion_9_reproducibility(tmp_path):
     records = run_suite(preds, SuiteConfig())
     rec_path = tmp_path / "r.jsonl"
     write_records(records, rec_path)
-    if read_records(rec_path) != records:
+    if [MeasurementRecord(**r) for r in iter_records(rec_path)] != records:
         problems.append("jsonl round trip changed records")
 
     ood = tmp_path / "ood.txt"

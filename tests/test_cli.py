@@ -15,7 +15,7 @@ from calibrex import (
     PredictionSet,
     TabularBenchmark,
     enumerate_tss,
-    table_from_records,
+    pivot,
     write_benchmark,
     write_csv_predictions,
     write_logits_file,
@@ -255,7 +255,7 @@ def table_csv(tmp_path):
             "d", "tss", arch, "nll", None, "pre", "test",
             float(rng.uniform(0.5, 2.0))))
     path = tmp_path / "table.csv"
-    write_table_csv(table_from_records(records), path)
+    write_table_csv(pivot(r.to_dict() for r in records)[1], path)
     return str(path)
 
 
@@ -367,6 +367,9 @@ HEADERS = {"table": "arch_index,a,b\n", "csv": "label,s0,s1\n", "ood": ""}
     ("ood", b"0.5\n" * 2000 + b"\xff\n", None, "can't decode byte 0xff"),
     ("table", b"0,abc,1\n" + b"0,0.5,1\n" * 2000 + b"9,\xff,1\n", None,
      "can't decode byte 0xff"),
+    # inside the header read's first chunk
+    ("csv", b"\xff0,0.5,0.5\n", None, "can't decode byte 0xff"),
+    ("table", b"\xff0,0.5,1\n", None, "can't decode byte 0xff"),
     ("csv", "", None, "no data rows"),
     ("table", None, None, "No such file or directory"),
     ("csv", None, None, "No such file or directory"),
@@ -375,7 +378,8 @@ HEADERS = {"table": "arch_index,a,b\n", "csv": "label,s0,s1\n", "ood": ""}
         "csv-short-row", "csv-bad-cell", "csv-after-blank-lines",
         "ood-two-numbers", "ood-two-numbers-first-line", "ood-comma",
         "ood-after-blank-lines", "csv-not-utf8", "ood-not-utf8",
-        "table-bad-row-then-not-utf8", "csv-empty",
+        "table-bad-row-then-not-utf8", "csv-header-not-utf8",
+        "table-header-not-utf8", "csv-empty",
         "table-missing", "csv-missing", "ood-missing"])
 def test_correlate_bad_table_names_the_file_line(tmp_path, capsys, logits_file,
                                                  ood_files, reader, body,
@@ -434,8 +438,8 @@ def test_search_rerun_is_byte_identical_and_percent_is_display_only(
 
 def test_search_on_benchmark_file(tmp_path, capsys):
     archs = [a.to_string() for a in enumerate_tss()[:6]]
-    metrics = {a: {"accuracy": 0.5 + 0.05 * i, "ece": 0.1}
-               for i, a in enumerate(archs)}
+    metrics = {"accuracy": [0.5 + 0.05 * i for i in range(6)],
+               "ece": [0.1] * 6}
     bench_path = str(tmp_path / "bench.jsonl")
     write_benchmark(TabularBenchmark("tss", metrics, archs), bench_path)
     out = str(tmp_path / "result.json")
@@ -449,7 +453,7 @@ def test_search_on_benchmark_file(tmp_path, capsys):
 
 def test_search_space_mismatch_exits_2(tmp_path, capsys):
     archs = [a.to_string() for a in enumerate_tss()[:3]]
-    metrics = {a: {"accuracy": 0.5, "ece": 0.1} for a in archs}
+    metrics = {"accuracy": [0.5] * 3, "ece": [0.1] * 3}
     bench_path = str(tmp_path / "bench.jsonl")
     write_benchmark(TabularBenchmark("tss", metrics, archs), bench_path)
     rc = main(["search", "--benchmark", bench_path, "--space", "sss",
@@ -467,7 +471,7 @@ def test_search_missing_benchmark_exits_2(tmp_path, capsys):
 
 def test_search_budget_over_space_exits_2(tmp_path, capsys):
     archs = [a.to_string() for a in enumerate_tss()[:3]]
-    metrics = {a: {"accuracy": 0.5, "ece": 0.1} for a in archs}
+    metrics = {"accuracy": [0.5] * 3, "ece": [0.1] * 3}
     bench_path = str(tmp_path / "bench.jsonl")
     write_benchmark(TabularBenchmark("tss", metrics, archs), bench_path)
     rc = main(["search", "--benchmark", bench_path, "--algo", "rs",
@@ -517,11 +521,16 @@ def test_enumerate_tss_dedupe(tmp_path, capsys):
     assert 0 < len(lines) < 15625
 
 
-def test_enumerate_sss_dedupe_is_identity(tmp_path, capsys):
-    out = str(tmp_path / "sss.txt")
-    rc = main(["enumerate", "--space", "sss", "--dedupe", "--out", out])
-    assert rc == 0
-    assert capsys.readouterr().out.strip() == "32768 architectures written"
+def test_enumerate_sss_dedupe_exits_2(tmp_path, capsys):
+    # fingerprint classes exist for topology cells only
+    out = tmp_path / "sss.txt"
+    rc = main(["enumerate", "--space", "sss", "--dedupe", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --dedupe needs --space tss: fingerprint " \
+        "classes exist for topology cells only\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +645,7 @@ def test_search_names_a_string_arch_index(tmp_path, capsys):
     arch = enumerate_tss()[0].to_string()
     bench_path = tmp_path / "bench.jsonl"
     write_benchmark(TabularBenchmark(
-        "tss", {arch: {"accuracy": 0.5, "ece": 0.1}}), str(bench_path))
+        "tss", {"accuracy": [0.5], "ece": [0.1]}, [arch]), str(bench_path))
     bench_path.write_text(bench_path.read_text().replace(
         '"arch_index":0', '"arch_index":"0"'))
     rc = main(["search", "--benchmark", str(bench_path), "--budget", "1",
@@ -646,11 +655,37 @@ def test_search_names_a_string_arch_index(tmp_path, capsys):
         f"error: {bench_path}:1: bad record: arch_index must be an integer")
 
 
+def test_search_on_pooled_evals_names_the_repeated_cell(tmp_path, capsys):
+    # separate eval calls each number their files from 0; pooled, both
+    # models claim arch_index 0, and that once loaded the first model's
+    # accuracy with the second model's ECE
+    parts = []
+    for i, extra in enumerate((["--include-accuracy"], [])):
+        model, part = tmp_path / f"m{i}.bin", tmp_path / f"part{i}.jsonl"
+        write_logits_file(model, make_preds(seed=i))
+        assert main(["eval", "--logits", str(model), "--out", str(part)]
+                    + extra) == 0
+        parts.append(part.read_text())
+    bench_path = tmp_path / "bench.jsonl"
+    bench_path.write_text("".join(parts))
+    (tmp_path / "bench.index.json").write_text(
+        json.dumps({enumerate_tss()[0].to_string(): 0}))
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    rc = main(["search", "--benchmark", str(bench_path), "--budget", "1",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {bench_path}: second value for ece_15_pre at "
+                   "arch_index 0 (benchmark_dataset 'm1')\n")
+    assert not out.exists()
+
+
 def _index_missing(tmp_path):
     arch = enumerate_tss()[0].to_string()
     bench_path = tmp_path / "bench.jsonl"
     write_benchmark(TabularBenchmark(
-        "tss", {arch: {"accuracy": 0.5, "ece": 0.1}}), str(bench_path))
+        "tss", {"accuracy": [0.5], "ece": [0.1]}, [arch]), str(bench_path))
     (tmp_path / "bench.index.json").unlink()
     return (["search", "--benchmark", str(bench_path), "--budget", "1",
              "--out", str(tmp_path / "r.json")],

@@ -349,7 +349,8 @@ def test_binary_label_out_of_range(tmp_path):
     path = tmp_path / "l.bin"
     body = struct.pack("<ffi", 0.5, 0.5, 9)
     path.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, 1, 1, 2) + body)
-    with pytest.raises(LogitsFileError, match=r"label 9 out of range \[0, 2\) in record 0"):
+    with pytest.raises(LogitsFileError, match=re.escape(
+            f"{path}: label 9 out of range [0, 2) in row 0")):
         read_logits_file(path)
 
 

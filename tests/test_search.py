@@ -34,8 +34,8 @@ PLANTED = ("|nor_conv_3x3~0|+|skip_connect~0|nor_conv_1x1~1|"
 
 def small_bench():
     archs = [a.to_string() for a in enumerate_tss()[:6]]
-    metrics = {a: {"accuracy": 0.5 + 0.05 * i, "ece": 0.30 - 0.04 * i}
-               for i, a in enumerate(archs)}
+    metrics = {"accuracy": [0.5 + 0.05 * i for i in range(6)],
+               "ece": [0.30 - 0.04 * i for i in range(6)]}
     return TabularBenchmark("tss", metrics, archs)
 
 
@@ -60,9 +60,15 @@ def test_tabular_benchmark_query_and_argmax():
 
 def test_tabular_benchmark_validation():
     with pytest.raises(ValueError, match="bad space"):
-        TabularBenchmark("cnn", {})
-    with pytest.raises(ValueError, match="has no metrics"):
-        TabularBenchmark("tss", {"a": {}}, ["a", "b"])
+        TabularBenchmark("cnn", {}, [])
+    with pytest.raises(ValueError, match=r"'ece' has shape \(1,\), "
+                       r"expected \(2,\)"):
+        TabularBenchmark("tss", {"ece": [0.1]}, ["a", "b"])
+    with pytest.raises(ValueError, match="listed twice"):
+        TabularBenchmark("tss", {"ece": [0.1, 0.2]}, ["a", "a"])
+    bench = TabularBenchmark("tss", {"ece": [0.1, 0.2]}, ("a", "b"))
+    assert bench.metrics["ece"].dtype == np.float64
+    assert bench.query("b") == {"ece": 0.2}
 
 
 def test_make_objective():
@@ -82,20 +88,20 @@ def test_synth_benchmark_coverage_and_determinism():
     a = synth_benchmark("tss", seed=3)
     b = synth_benchmark("tss", seed=3)
     assert len(a) == 15625
-    assert a.metrics == b.metrics
+    assert a.archs == b.archs and a.metrics.keys() == b.metrics.keys()
+    assert all(np.array_equal(a.metrics[m], b.metrics[m]) for m in a.metrics)
     c = synth_benchmark("tss", seed=4)
-    assert a.metrics != c.metrics
-    vals = [m for m in a.metrics.values()]
-    assert all(0.0 <= m["accuracy"] <= 1.0 for m in vals)
-    assert all(0.0 < m["ece"] <= 0.25 for m in vals)
+    assert not np.array_equal(a.metrics["accuracy"], c.metrics["accuracy"])
+    assert np.all((0.0 <= a.metrics["accuracy"])
+                  & (a.metrics["accuracy"] <= 1.0))
+    assert np.all((0.0 < a.metrics["ece"]) & (a.metrics["ece"] <= 0.25))
     assert len(synth_benchmark("sss", seed=0)) == 32768
 
 
 def test_planted_benchmark_landscape():
     bench = synth_benchmark("tss", seed=7, planted=PLANTED)
     assert bench.query(PLANTED)["accuracy"] == 1.0
-    others = [m["accuracy"] for a, m in bench.metrics.items()
-              if a != PLANTED]
+    others = np.delete(bench.metrics["accuracy"], bench.archs.index(PLANTED))
     assert max(others) <= 0.88  # unique argmax with a clear margin
 
     # every non-planted arch has a neighbor better by at least 0.10
@@ -210,6 +216,43 @@ def test_load_benchmark_error_cases(tmp_path):
         load_benchmark(path)
 
 
+def _two_arch_records(dataset="b"):
+    from calibrex import MeasurementRecord
+    return [MeasurementRecord(dataset, "tss", arch, metric, bins, "pre",
+                              "test", value)
+            for arch, acc, ece in ((0, 0.9, 0.1), (1, 0.8, 0.2))
+            for metric, bins, value in (("accuracy", None, acc),
+                                        ("ece", 15, ece))]
+
+
+@pytest.mark.parametrize("case", ["repeated-cell", "arch-not-in-index",
+                                  "arch-missing-a-key"])
+def test_load_benchmark_rejects_what_it_once_dropped(tmp_path, case):
+    # each of these once loaded as fewer architectures, or with a value
+    # overwritten, and no error
+    from calibrex import write_records
+    archs = [a.to_string() for a in enumerate_tss()[:2]]
+    path = str(tmp_path / "r.jsonl")
+    index_path = tmp_path / "r.index.json"
+    index_path.write_text(json.dumps({archs[0]: 0, archs[1]: 1}))
+    records = _two_arch_records()
+    write_records(records, path)
+    assert load_benchmark(path).archs == sorted(archs)
+    if case == "repeated-cell":
+        records += _two_arch_records("m2")[1:2]
+        message = (f"{path}: second value for ece_15_pre at arch_index 0 "
+                   "(benchmark_dataset 'm2')")
+    elif case == "arch-not-in-index":
+        index_path.write_text(json.dumps({archs[0]: 0}))
+        message = f"{index_path}: no architecture for arch_index 1 of {path}"
+    else:
+        records = records[:3]
+        message = f"{path}: column 'ece_15_pre' missing for arch(es) [1]"
+    write_records(records, path)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        load_benchmark(path)
+
+
 @pytest.mark.parametrize("index, message", [
     ({"ARCH": "zero"}, "arch_index of 'ARCH' must be an integer >= 0"),
     ({"ARCH": 0.0}, "arch_index of 'ARCH' must be an integer >= 0"),
@@ -318,7 +361,7 @@ def check_common_contract(result, bench, budget):
     assert all(b >= a for a, b in zip(result.trajectory,
                                       result.trajectory[1:]))
     assert result.best_value == result.trajectory[-1]
-    assert result.best_arch in bench.metrics
+    assert result.best_arch in bench.archs
 
 
 def test_random_search_with_full_budget_finds_argmax():
@@ -420,7 +463,7 @@ def test_hcs_range_error_comes_before_the_search():
     # a 1-step search with seed 0 visits archs[3] only, so the one arch out
     # of range is never visited; the objective is still scored up front
     bench = small_bench()
-    bench.metrics[bench.archs[0]]["accuracy"] = 1.5
+    bench.metrics["accuracy"][0] = 1.5
     config = SearchConfig(budget=1, seed=0)
     assert random_search(bench, make_objective("acc"), config).best_arch == \
         bench.archs[3]
@@ -436,7 +479,7 @@ def test_partial_benchmark_search_names_the_missing_arch(tmp_path):
     # neighbor, which a 6-arch benchmark lacks
     start = bench.archs[int(np.random.default_rng(4).integers(len(bench)))]
     missing = neighbors(parse_arch(start))[0].to_string()
-    assert missing not in bench.metrics
+    assert missing not in bench.archs
     with pytest.raises(KeyError) as info:
         local_search(bench, make_objective("acc"), SearchConfig(20, seed=4))
     assert info.value.args == (f"architecture {missing!r} not in benchmark",)

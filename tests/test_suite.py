@@ -16,14 +16,19 @@ from calibrex import (
     continuous,
     ece,
     fit_temperature,
+    iter_records,
     metric_key,
     nll,
-    read_records,
+    pivot,
     run_suite,
     split,
-    table_from_records,
     write_records,
 )
+from calibrex.suite import PivotError
+
+
+def read_back(path):
+    return [MeasurementRecord(**rec) for rec in iter_records(path)]
 
 
 def make_preds(seed=0, n=400, k=3):
@@ -232,7 +237,7 @@ def test_jsonl_round_trip(tmp_path):
     records = run_suite(make_preds(), SuiteConfig(ood_inputs=ood_pair()))
     path = tmp_path / "records.jsonl"
     write_records(records, path)
-    assert read_records(path) == records
+    assert read_back(path) == records
     # no temp-file droppings from the atomic write
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
 
@@ -260,10 +265,10 @@ def test_read_records_reports_bad_lines(tmp_path):
     good = json.dumps(run_suite(make_preds())[0].to_dict())
     path.write_text(good + "\n{broken\n")
     with pytest.raises(ValueError, match=r":2: bad record"):
-        read_records(path)
+        read_back(path)
     path.write_text(good + "\n" + good.replace('"test"', '"train"') + "\n")
     with pytest.raises(ValueError, match=r":2: bad record"):
-        read_records(path)
+        read_back(path)
 
 
 GOOD_RECORD = dict(benchmark_dataset="d", search_space="tss", arch_index=4,
@@ -290,7 +295,7 @@ def test_read_records_rejects_bad_field_values(tmp_path, field, bad,
                     + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "
                        f"bad record: {message}"):
-        read_records(path)
+        read_back(path)
     # one rule set: the record type rejects the same value
     with pytest.raises(ValueError, match=message):
         MeasurementRecord(**{**GOOD_RECORD, field: bad})
@@ -313,7 +318,7 @@ def test_read_records_rejects_bad_shapes(tmp_path, text, message):
     path.write_text(text + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "
                        f"bad record: .*{message}"):
-        read_records(path)
+        read_back(path)
 
 
 def test_read_records_names_the_line_that_is_not_utf8(tmp_path):
@@ -322,14 +327,14 @@ def test_read_records_names_the_line_that_is_not_utf8(tmp_path):
     path.write_bytes(good + b"\n" + good.replace(b'"d"', b'"\xff"') + b"\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "
                        "bad record: .*utf-8"):
-        read_records(path)
+        read_back(path)
 
 
 def test_read_records_defaults_a_missing_temperature(tmp_path):
     path = tmp_path / "r.jsonl"
     rec = {k: v for k, v in GOOD_RECORD.items() if k != "temperature"}
     path.write_text(json.dumps(rec) + "\n")
-    assert read_records(path) == [MeasurementRecord(**rec)]
+    assert read_back(path) == [MeasurementRecord(**rec)]
 
 
 def test_read_records_skips_blank_lines(tmp_path):
@@ -337,7 +342,7 @@ def test_read_records_skips_blank_lines(tmp_path):
     path = tmp_path / "r.jsonl"
     write_records(records, path)
     path.write_text(path.read_text().replace("\n", "\n\n"))
-    assert read_records(path) == records
+    assert read_back(path) == records
 
 
 # ---------------------------------------------------------------------------
@@ -353,21 +358,67 @@ def two_arch_records():
     return out
 
 
-def test_table_from_records():
-    table = table_from_records(two_arch_records())
+def test_pivot_rows_and_columns():
+    space, table = pivot(r.to_dict() for r in two_arch_records())
+    assert space == "tss"
     assert table.arch_index.tolist() == [1, 3]
-    assert set(table.columns) == {"ece_10_pre", "ece_10_post",
-                                  "nll_pre", "nll_post"}
+    assert sorted(table.columns) == ["ece_10_post", "ece_10_pre",
+                                     "nll_post", "nll_pre"]
+    by_cell = {(r.arch_index, metric_key(r)): r.value
+               for r in two_arch_records()}
+    for name, column in table.columns.items():
+        assert column.tolist() == [by_cell[1, name], by_cell[3, name]]
+    # keys pick columns; every test-split arch stays a row
+    _, table = pivot((r.to_dict() for r in two_arch_records()),
+                     ("nll_pre", "no_such_key"))
+    assert table.arch_index.tolist() == [1, 3]
+    assert list(table.columns) == ["nll_pre"]
 
 
-def test_table_from_records_rejects_missing_cells():
+def test_pivot_reads_a_records_file(tmp_path):
+    path = tmp_path / "r.jsonl"
+    write_records(two_arch_records(), path)
+    _, table = pivot(iter_records(path))
+    _, want = pivot(r.to_dict() for r in two_arch_records())
+    assert table.arch_index.tolist() == want.arch_index.tolist()
+    assert {k: v.tolist() for k, v in table.columns.items()} == \
+        {k: v.tolist() for k, v in want.columns.items()}
+
+
+def test_pivot_rejects_missing_cells():
     records = two_arch_records()
-    dropped = [r for r in records
+    dropped = [r.to_dict() for r in records
                if not (r.arch_index == 1 and metric_key(r) == "nll_pre")]
-    with pytest.raises(ValueError, match="missing"):
-        table_from_records(dropped)
+    with pytest.raises(PivotError, match=re.escape(
+            "column 'nll_pre' missing for arch(es) [1]")):
+        pivot(dropped)
 
 
-def test_table_from_records_split_filter():
-    with pytest.raises(ValueError, match="no records with split 'val'"):
-        table_from_records(two_arch_records(), split="val")
+def test_pivot_reads_the_test_split_only(tmp_path):
+    records = [r.to_dict() for r in two_arch_records()]
+    val = [{**r, "split": "val"} for r in records]
+    path = tmp_path / "val.jsonl"
+    write_records([MeasurementRecord(**r) for r in val], path)
+    with pytest.raises(PivotError, match="no records with split 'test'"):
+        pivot(iter_records(path))
+    # a val value never takes a test cell's place
+    _, table = pivot(records[:1] + val)
+    assert table.columns[metric_key(records[0])].tolist() == \
+        [records[0]["value"]]
+
+
+def test_pivot_rejects_a_repeated_cell():
+    records = [r.to_dict() for r in two_arch_records()]
+    again = {**records[2], "benchmark_dataset": "second", "value": 0.5}
+    with pytest.raises(PivotError, match=re.escape(
+            f"second value for {metric_key(again)} at arch_index 3 "
+            "(benchmark_dataset 'second')")):
+        pivot(records + [again])
+
+
+def test_pivot_rejects_mixed_spaces():
+    records = [r.to_dict() for r in two_arch_records()]
+    other = {**records[0], "search_space": "sss", "split": "val"}
+    with pytest.raises(PivotError,
+                       match="records mix search spaces 'tss' and 'sss'"):
+        pivot(records + [other])
