@@ -55,17 +55,19 @@ def main():
         if r.metric == "ece" and r.stage == "post":
             print(f"  m={r.bin_count:3d}  {r.value:.4f}")
 
-    out = Path(tempfile.mkdtemp()) / "records.jsonl"
-    write_records(records, out)
-    back = [MeasurementRecord(**rec) for rec in iter_records(out)]
-    print(f"\nwrote {out} ({out.stat().st_size} bytes), "
-          f"read back {len(back)} records, equal={back == records}")
-    print("first line:")
-    print(" ", out.read_text().splitlines()[0][:100], "...")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "records.jsonl"
+        write_records(records, out)
+        back = [MeasurementRecord(**rec) for rec in iter_records(out)]
+        print(f"\nwrote {out} ({out.stat().st_size} bytes), "
+              f"read back {len(back)} records, equal={back == records}")
+        print("first line:")
+        print(" ", out.read_text().splitlines()[0][:100], "...")
 
-    # one cell per (arch_index, metric key): a second eval's records for
-    # the same arch_index would fail here instead of overwriting a cell
-    space, table = pivot(iter_records(out))
+        # one cell per (arch_index, metric key): a second eval's records
+        # for the same arch_index would fail here instead of overwriting
+        # a cell
+        space, table = pivot(iter_records(out))
     print(f"\npivoted: {space} space, {table.n_rows} row(s) x "
           f"{len(table.columns)} metric columns; "
           f"ece_15_post = {table.column('ece_15_post')[0]:.4f}")

@@ -8,6 +8,7 @@ summaries) operates on such tables.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -67,7 +68,7 @@ def _dense_ranks(columns: Sequence[np.ndarray], n: int):
     ranks = np.empty((len(columns), n), dtype=_key_dtype(n))
     ties = np.empty(len(columns), dtype=np.int64)
     for c, v in enumerate(columns):
-        order = np.argsort(v, kind="stable")
+        order = np.argsort(v)
         srt = v[order]
         ranks[c, order] = np.cumsum(np.r_[False, srt[1:] != srt[:-1]])
         ties[c] = _tied_pairs(srt)
@@ -109,6 +110,13 @@ def _discordant(seq: np.ndarray, pad: int) -> np.ndarray:
     return dis
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _tau_b(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
     """Kendall tau-b between every pair of k float columns of length n.
 
@@ -118,6 +126,10 @@ def _tau_b(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
     (rank_i, rank_j) so that pairs tied in i are not counted as discordant.
     Entry (i, j), i < j, follows scipy's tau-b arithmetic with x = column i
     exactly; a constant column or one holding NaN gives NaN.
+
+    The rows i are counted on up to one thread per available CPU (the
+    sorts and counts release the GIL); every entry is computed from its
+    own pair alone, so the matrix has the same bits for any thread count.
     """
     k = len(columns)
     out = np.eye(k)
@@ -125,9 +137,13 @@ def _tau_b(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
     tot = n * (n - 1) // 2
     degenerate = (ties == tot) | np.array([np.isnan(v).any()
                                            for v in columns], dtype=bool)
-    # rows j per batch: bounds the (batch, n) int64 work arrays to 4 MiB
-    batch = max(1, 2**19 // max(n, 1))
-    for i in range(k - 1):
+    workers = max(1, min(_cpu_count(), k - 1))
+    # rows j per batch: bounds the (batch, n) int64 work arrays of all
+    # workers together to 4 MiB
+    batch = max(1, 2**19 // max(n, 1) // workers)
+
+    def fill(i):
+        """Fill ``out[i, i + 1:]`` and ``out[i + 1:, i]``."""
         if not ties[i]:
             order = np.empty(n, dtype=np.intp)
             order[ranks[i]] = np.arange(n)
@@ -149,6 +165,17 @@ def _tau_b(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
             tau = np.clip(tau, -1.0, 1.0)
             tau[degenerate[i] | degenerate[lo:hi]] = np.nan
             out[i, lo:hi] = out[lo:hi, i] = tau
+
+    if workers == 1:
+        for i in range(k - 1):
+            fill(i)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        # tasks start in submission order, so the longest rows go first;
+        # the first error propagates and cancels the tasks not yet started
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(fill, range(k - 1)):
+                pass
     return out
 
 

@@ -300,7 +300,8 @@ def read_csv_predictions(path, kind: str = "auto") -> PredictionSet:
                     header[1:] != [f"s{i}" for i in range(k)]:
                 raise ValueError(f"{path}: line 1: bad header {header!r}")
             dtype = [("y", np.int64), ("s", np.float64, (k,))]
-            data = read_rows(path, fh, dtype, delimiter=",")
+            data = read_rows(path, fh, dtype, delimiter=",",
+                             check=_check_rows)
         except ValueError as exc:
             raise LogitsFileError(*exc.args) from None
     if data.size == 0:
@@ -317,6 +318,14 @@ def read_csv_predictions(path, kind: str = "auto") -> PredictionSet:
     except ValueError as exc:
         raise LogitsFileError(f"{path}: {exc}") from exc
     return _trusted(scores, labels, is_prob)
+
+
+def _check_rows(data: np.ndarray) -> None:
+    """The row rules of ``_check`` (finite scores, labels in range) on
+    parsed CSV rows, so that a bad value names its line.  Whether the set
+    is probabilities is decided on the whole file afterwards."""
+    if data.size:
+        _check(data["s"], data["y"], False)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +390,8 @@ def read_rows(path, fh, dtype, delimiter=None, check=None) -> np.ndarray:
                 good = mid
             except ValueError as exc:
                 bad, error = mid, exc
-    # numpy's row number skips blank lines and counts from 0 or 1 by error
-    # kind: drop it (and the `usecols` hint), name the line
-    msg = re.sub(r" at row \d+", "", str(error).partition("; use")[0])
+    # numpy's row number (and a check's) skips blank lines, and numpy's
+    # counts from 0 or 1 by error kind: drop it (and the `usecols` hint),
+    # name the line
+    msg = re.sub(r" (?:at|in) row \d+", "", str(error).partition("; use")[0])
     raise ValueError(f"{path}: line {head + bad}: {msg}")

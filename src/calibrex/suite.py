@@ -88,6 +88,11 @@ def check_record(rec: dict) -> None:
         if missing or unknown:
             raise TypeError(f"missing fields {missing}, unknown fields "
                             f"{unknown}")
+    if not (isinstance(rec["benchmark_dataset"], str)
+            and isinstance(rec["metric"], str)):
+        name = "metric" if isinstance(rec["benchmark_dataset"], str) \
+            else "benchmark_dataset"
+        raise ValueError(f"{name} must be a string, got {rec[name]!r}")
     if rec["search_space"] not in ("tss", "sss"):
         raise ValueError(f"bad search_space {rec['search_space']!r}")
     if rec["stage"] not in STAGES:

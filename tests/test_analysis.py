@@ -1,6 +1,7 @@
 """Tests for metric tables, rank correlation, scores, and summaries."""
 import csv
 import math
+import threading
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from calibrex import (
     write_matrix_csv,
     write_table_csv,
 )
+from calibrex import analysis
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +164,76 @@ def test_correlation_matrix_entries_equal_pairwise_kendall_tau():
             ref = kendall_tau(t.column(a), t.column(b))
             got = mat[i, names.index(b)]
             assert (math.isnan(got) and math.isnan(ref)) or got == ref, (a, b)
+
+
+# ---------------------------------------------------------------------------
+# the rows of the tau-b matrix on a thread pool
+# ---------------------------------------------------------------------------
+
+def mixed_table():
+    """Tied, tie-free, binary, constant and NaN columns, a tied one first
+    so that the tied branch runs inside a worker.  At 16,000 rows a batch
+    holds 10 to 32 columns by worker count, so each worker counts several
+    batches."""
+    rng = np.random.default_rng(8)
+    n = 16_000
+    base = rng.normal(size=n)
+    cols = {}
+    for j in range(4):
+        noisy = base + rng.normal(size=n) * (j + 1)
+        cols[f"a{j}_tied"] = np.round(noisy * 3)
+        cols[f"b{j}_free"] = noisy
+        cols[f"c{j}_binary"] = (noisy > 0.2 * j).astype(float)
+    cols["d_flat"] = np.full(n, 0.5)
+    cols["e_nan"] = np.where(np.arange(n) == 7, np.nan, base)
+    return MetricTable(np.arange(n), cols)
+
+
+def test_correlation_matrix_bits_do_not_depend_on_the_thread_count(
+        monkeypatch):
+    table = mixed_table()
+    discordant = analysis._discordant
+    counted_on = set()
+
+    def spy(seq, pad):
+        counted_on.add(threading.current_thread())
+        return discordant(seq, pad)
+
+    monkeypatch.setattr(analysis, "_discordant", spy)
+    mats = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: workers)
+        counted_on.clear()
+        names, mats[workers] = correlation_matrix(table)
+        main_only = counted_on == {threading.main_thread()}
+        assert main_only == (workers == 1)
+    assert names[0] == "a0_tied"
+    assert mats[1].tobytes() == mats[2].tobytes() == mats[3].tobytes()
+    degenerate = [names.index("d_flat"), names.index("e_nan")]
+    off = ~np.eye(len(names), dtype=bool)
+    assert np.isnan(mats[1][degenerate][off[degenerate]]).all()
+    rest = np.delete(np.delete(mats[1], degenerate, 0), degenerate, 1)
+    assert np.isfinite(rest).all()
+
+
+def test_an_error_in_a_worker_propagates(monkeypatch):
+    def fail(seq, pad):
+        raise RuntimeError("count failed")
+
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(analysis, "_discordant", fail)
+    with pytest.raises(RuntimeError, match="count failed"):
+        correlation_matrix(mixed_table())
+
+
+def test_kendall_tau_starts_no_thread(monkeypatch):
+    def start(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert kendall_tau([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0]) == \
+        pytest.approx(2 / 3)
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,11 @@ HEADERS = {"table": "arch_index,a,b\n", "csv": "label,s0,s1\n", "ood": ""}
     ("csv", "0,0.5,0.5\n1,0.25,abc\n", 3,
      "could not convert string 'abc' to float64, column 3."),
     ("csv", "\n0,0.5,0.5\n\n1,0.25,abc\n1,0.5,0.5\n", 5, "'abc'"),
+    # values that parse but break the row rules
+    ("csv", "0,0.5,0.5\n\n1,nan,0.5\n1,0.5,0.5\n", 4, "non-finite score"),
+    ("csv", "0,0.5,0.5\n1,inf,0.5\n", 3, "non-finite score"),
+    ("csv", "0,0.5,0.5\n1,0.5,0.5\n\n2,0.5,0.5\n-1,0.5,0.5\n", 5,
+     "label 2 out of range [0, 2)"),
     ("ood", "0.5\n0.25 0.75\n", 2, "requires 1 columns but 2 were found"),
     ("ood", "0.5 0.6\n0.25 0.75\n", 1, "requires 1 columns but 2 were found"),
     ("ood", "0.5\n0.5,0.6\n", 2, "could not convert string '0.5,0.6'"),
@@ -376,6 +381,8 @@ HEADERS = {"table": "arch_index,a,b\n", "csv": "label,s0,s1\n", "ood": ""}
     ("ood", None, None, "No such file or directory"),
 ], ids=["short-row", "bad-cell", "after-blank-lines", "fifth-line",
         "csv-short-row", "csv-bad-cell", "csv-after-blank-lines",
+        "csv-nan-score-after-blank-line", "csv-inf-score",
+        "csv-label-out-of-range",
         "ood-two-numbers", "ood-two-numbers-first-line", "ood-comma",
         "ood-after-blank-lines", "csv-not-utf8", "ood-not-utf8",
         "table-bad-row-then-not-utf8", "csv-header-not-utf8",
@@ -400,7 +407,7 @@ def test_correlate_bad_table_names_the_file_line(tmp_path, capsys, logits_file,
     prefix = f"error: {bad}: " if line is None else \
         f"error: {bad}: line {line}: "
     assert err.count("\n") == 1 and err.startswith(prefix)
-    assert where in err and "at row" not in err
+    assert where in err and "at row" not in err and "in row" not in err
     assert not out.exists()
 
 
@@ -714,18 +721,28 @@ def test_system_errors_name_the_file(tmp_path, capsys, case):
 # process-level behaviour
 # ---------------------------------------------------------------------------
 
-def test_cli_start_does_not_import_scipy():
+def cli_start_modules():
+    """The modules a fresh interpreter holds after building the parser."""
     src = os.path.dirname(os.path.dirname(calibrex.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, calibrex, calibrex.cli\n"
             "calibrex.cli.build_parser()\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+            "print('\\n'.join(sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_cli_start_does_not_import_scipy():
+    assert [m for m in cli_start_modules()
+            if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_cli_start_does_not_import_concurrent_futures():
+    # correlate's thread pool is imported when it is used
+    assert "concurrent.futures" not in cli_start_modules()
 
 
 def test_outputs_get_the_umask_mode(tmp_path, logits_file):

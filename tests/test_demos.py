@@ -15,3 +15,5 @@ def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(DEMO_DIR / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out.strip()
+    # a demo removes what it writes to the temp dir
+    assert list(tmp_path.iterdir()) == []

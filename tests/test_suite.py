@@ -284,6 +284,10 @@ GOOD_RECORD = dict(benchmark_dataset="d", search_space="tss", arch_index=4,
     ("bin_count", 0, "bin_count must be an integer >= 1"),
     ("bin_count", "15", "bin_count must be an integer >= 1"),
     ("value", True, "value must be a finite real number"),
+    ("metric", ["ece"], "metric must be a string"),
+    ("metric", None, "metric must be a string"),
+    ("benchmark_dataset", 5, "benchmark_dataset must be a string"),
+    ("benchmark_dataset", {"a": 1}, "benchmark_dataset must be a string"),
     ("temperature", "hot", "temperature must be None or a finite number"),
     ("temperature", 0.0, "temperature must be None or a finite number"),
 ])
@@ -299,6 +303,18 @@ def test_read_records_rejects_bad_field_values(tmp_path, field, bad,
     # one rule set: the record type rejects the same value
     with pytest.raises(ValueError, match=message):
         MeasurementRecord(**{**GOOD_RECORD, field: bad})
+
+
+def test_records_reject_a_metric_that_is_not_a_string(tmp_path):
+    # a list metric once passed as an unbinned one and keyed "['ece_x']_pre"
+    bad = {**GOOD_RECORD, "metric": ["ece_x"], "bin_count": None}
+    path = tmp_path / "r.jsonl"
+    path.write_text(json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "
+                       r"bad record: metric must be a string, got \['ece_x'\]"):
+        read_back(path)
+    with pytest.raises(ValueError, match="metric must be a string"):
+        MeasurementRecord(**bad)
 
 
 def test_record_check_accepts_numpy_integers_and_ints():
