@@ -36,14 +36,14 @@ def main():
     records = []
     for i in range(n_models):
         preds = simulate_model(rng, n, k, spreads[i], sharpens[i])
-        config = SuiteConfig(bin_sizes=(15,), bin_metrics=("ece", "mce"),
-                             continuous_metrics=("nll", "brier"),
-                             temperature_scale=False,
+        config = SuiteConfig(bin_sizes=(15,), temperature_scale=False,
                              include_accuracy=True, arch_index=i)
         records.extend(run_suite(preds, config))
 
-    # one row per arch_index, one column per metric key
-    _, table = pivot(r.to_dict() for r in records)
+    # one row per arch_index, one column per chosen metric key
+    keys = ("accuracy_pre", "ece_15_pre", "mce_15_pre", "nll_pre",
+            "brier_pre")
+    _, table = pivot((r.to_dict() for r in records), keys)
     quality = hcs(table.column("accuracy_pre"), table.column("ece_15_pre"))
     table = MetricTable(table.arch_index,
                         {**table.columns, "hcs_pre": quality})

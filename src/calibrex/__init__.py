@@ -1,8 +1,9 @@
 """calibrex: calibration measurement and architecture search toolkit."""
 
 from .analysis import (BoxplotStats, MetricTable, boxplot_stats,
-                       correlation_matrix, hcs, kendall_tau, size_brackets,
-                       top_k_by, write_matrix_csv, write_table_csv)
+                       correlation_matrix, hcs, kendall_tau, read_table_csv,
+                       size_brackets, top_k_by, write_matrix_csv,
+                       write_table_csv)
 from .archspace import (SssArch, TssArch, canonical_fingerprint,
                         enumerate_sss, enumerate_tss, model_size, parse_arch,
                         parse_sss, parse_tss)

@@ -14,10 +14,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .predictions import read_header, read_rows
+
 
 @dataclass
 class MetricTable:
-    """Rectangular table: arch_index rows, named real-valued columns."""
+    """Rectangular table: one row per arch_index, named real-valued
+    columns."""
 
     arch_index: np.ndarray
     columns: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -25,6 +28,10 @@ class MetricTable:
     def __post_init__(self):
         self.arch_index = np.asarray(self.arch_index, dtype=np.int64)
         n = self.arch_index.size
+        srt = np.sort(self.arch_index, axis=None)
+        repeats = srt[1:][srt[1:] == srt[:-1]]
+        if repeats.size:
+            raise ValueError(f"arch_index {repeats[0]} has more than one row")
         cols = {}
         for name, vals in self.columns.items():
             v = np.asarray(vals, dtype=np.float64)
@@ -200,14 +207,12 @@ def correlation_matrix(table: MetricTable,
     return names, _tau_b(columns, table.n_rows)
 
 
-def top_k_by(table: MetricTable, column: str, k: int,
-             largest: bool = True) -> MetricTable:
-    """The k best rows by a column; ties broken by ascending arch index."""
+def top_k_by(table: MetricTable, column: str, k: int) -> MetricTable:
+    """The k rows with the largest values of a column; ties broken by
+    ascending arch index."""
     if k < 1:
         raise ValueError("k must be positive")
-    v = table.column(column)
-    sign = -1.0 if largest else 1.0
-    order = np.lexsort((table.arch_index, sign * v))
+    order = np.lexsort((table.arch_index, -table.column(column)))
     idx = order[:min(k, table.n_rows)]
     return MetricTable(table.arch_index[idx],
                        {name: v[idx] for name, v in table.columns.items()})
@@ -221,8 +226,8 @@ def hcs(accuracy, ece, beta: float = 1.0):
     min-max of its two ingredients and never exceeds 1.  Larger beta shifts
     the weight toward the calibration term 1 - ece.
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    if not (beta > 0 and np.isfinite(beta)):
+        raise ValueError(f"beta must be a finite number > 0, got {beta!r}")
     acc = np.asarray(accuracy, dtype=np.float64)
     q = 1.0 - np.asarray(ece, dtype=np.float64)
     if np.any(acc < 0) or np.any(acc > 1) or np.any(q < 0) or np.any(q > 1):
@@ -266,10 +271,35 @@ def size_brackets(sizes, edges: Sequence[float]) -> np.ndarray:
     len(edges) everything at or above the last.
     """
     e = np.asarray(edges, dtype=np.float64)
-    if e.ndim != 1 or e.size == 0 or np.any(np.diff(e) <= 0):
-        raise ValueError("edges must be strictly increasing and non-empty")
+    if e.ndim != 1 or e.size == 0 or not np.all(np.isfinite(e)) \
+            or np.any(np.diff(e) <= 0):
+        raise ValueError("edges must be finite, strictly increasing and "
+                         "non-empty")
     return np.searchsorted(e, np.asarray(sizes, dtype=np.float64),
                            side="right")
+
+
+def read_table_csv(path) -> MetricTable:
+    """A table as ``write_table_csv`` writes it: header ``arch_index`` and
+    one name per column, then one row per architecture."""
+    with open(path, newline="") as fh:
+        header = read_header(path, fh)
+        if not header or header[0] != "arch_index":
+            raise ValueError(f"{path}: first column must be arch_index")
+        names = header[1:]
+        # one field per header cell: a short or long row, a non-integer
+        # arch_index or a non-numeric cell raises ValueError
+        dtype = [("arch_index", np.int64)] + [(f"c{i}", np.float64)
+                                             for i in range(len(names))]
+        data = read_rows(path, fh, dtype, delimiter=",")
+    if data.size == 0:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        return MetricTable(data["arch_index"],
+                           {name: data[f"c{i}"]
+                            for i, name in enumerate(names)})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_table_csv(table: MetricTable, path) -> None:

@@ -339,37 +339,22 @@ _SUITE_METRICS = {"ece": (False, "width", 0), "ece_em": (False, "mass", 0),
                   "mce": (False, "width", 1)}
 
 
-def binned_metrics(preds: PredictionSet, metrics, bin_counts) -> dict:
-    """``{(metric, m): value}`` for every named binned metric and bin count.
+def _binned_metrics(preds: PredictionSet, top, bin_counts) -> dict:
+    """``{(metric, m): value}`` for the five suite metrics at every bin count.
 
-    One sort of the score columns and one kernel call serve them all; each
-    value is bit-identical to the matching public call, e.g.
-    ``cwce_em(preds, m)``.
+    ``top`` is the ``_top_label`` state of ``preds``.  One sort of the score
+    columns and one kernel call serve them all; each value is bit-identical
+    to the matching public call, e.g. ``cwce_em(preds, m)``.
     """
-    return _binned_metrics(preds, None, metrics, bin_counts)
-
-
-def _binned_metrics(preds: PredictionSet, top, metrics, bin_counts) -> dict:
-    """``binned_metrics`` given the ``_top_label`` state; None builds it."""
-    if not metrics or not bin_counts:
+    if not bin_counts:
         return {}
-    classwise = {_SUITE_METRICS[name][0] for name in metrics}
-    top_label = False in classwise
-    for m in bin_counts:
-        _check_m(m)
-    if top_label and top is None:
-        top = _top_label(preds)
-    errors = _binned_errors(*_sorted_columns(preds, top if top_label else None,
-                                             True in classwise),
+    errors = _binned_errors(*_sorted_columns(preds, top, True),
                             tuple(bin_counts))
-    rows = {False: slice(0, 1), True: slice(int(top_label), None)}
-    values = {}
-    for name in metrics:
-        cw, scheme, statistic = _SUITE_METRICS[name]
-        for m in bin_counts:
-            values[name, m] = float(np.mean(
-                errors[scheme, m][statistic][rows[cw]]))
-    return values
+    # row 0 is the top-label row, the K class columns follow
+    rows = {False: slice(0, 1), True: slice(1, None)}
+    return {(name, m): float(np.mean(errors[scheme, m][statistic][rows[cw]]))
+            for name, (cw, scheme, statistic) in _SUITE_METRICS.items()
+            for m in bin_counts}
 
 
 def ece(preds: PredictionSet, bins: int, scheme: str = "width") -> float:

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, archspace, search, suite
-from .predictions import (SplitSpec, read_csv_predictions, read_header,
-                          read_logits_file, read_rows)
+from .predictions import (SplitSpec, read_csv_predictions, read_logits_file,
+                          read_rows)
 from .temperature import T_MAX, T_MIN, near_bound
 
 DEFAULT_BINS = ",".join(str(b) for b in suite.DEFAULT_BIN_SIZES)
@@ -87,26 +87,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _read_table_csv(path: str) -> analysis.MetricTable:
-    with open(path, newline="") as fh:
-        header = read_header(path, fh)
-        if not header or header[0] != "arch_index":
-            raise ValueError(f"{path}: first column must be arch_index")
-        names = header[1:]
-        # one field per header cell: a short or long row, a non-integer
-        # arch_index or a non-numeric cell raises ValueError
-        dtype = [("arch_index", np.int64)] + [(f"c{i}", np.float64)
-                                             for i in range(len(names))]
-        data = read_rows(path, fh, dtype, delimiter=",")
-    if data.size == 0:
-        raise ValueError(f"{path}: no data rows")
-    return analysis.MetricTable(data["arch_index"],
-                                {name: data[f"c{i}"]
-                                 for i, name in enumerate(names)})
-
-
 def cmd_correlate(args) -> int:
-    table = _read_table_csv(args.table)
+    table = analysis.read_table_csv(args.table)
     if args.top_k is not None:
         if args.by is None:
             raise ValueError("--top-k requires --by COLUMN")

@@ -267,7 +267,7 @@ def read_logits_file(path) -> PredictionSet:
 
 # ---------------------------------------------------------------------------
 # CSV format: header "label,s0,...,s{K-1}".  A file whose rows all lie in
-# [0, 1] and sum to 1 within 1e-6 parses as probabilities under kind="auto".
+# [0, 1] and sum to 1 within 1e-6 parses as probabilities.
 # ---------------------------------------------------------------------------
 
 def write_csv_predictions(path, preds: PredictionSet) -> None:
@@ -278,18 +278,12 @@ def write_csv_predictions(path, preds: PredictionSet) -> None:
             w.writerow([int(y)] + [repr(float(v)) for v in row])
 
 
-def read_csv_predictions(path, kind: str = "auto") -> PredictionSet:
+def read_csv_predictions(path) -> PredictionSet:
     """Parse a CSV score file.
 
-    Parameters
-    ----------
-    path : str or Path
-    kind : {"auto", "logits", "probabilities"}
-        Under "auto" the set is flagged as probabilities exactly when every
-        row lies in [0, 1] and sums to 1 within 1e-6.
+    The set is flagged as probabilities exactly when every row lies in
+    [0, 1] and sums to 1 within 1e-6; otherwise the scores are logits.
     """
-    if kind not in ("auto", "logits", "probabilities"):
-        raise ValueError(f"bad kind {kind!r}")
     with open(path, newline="") as fh:
         try:
             header = read_header(path, fh)
@@ -307,12 +301,9 @@ def read_csv_predictions(path, kind: str = "auto") -> PredictionSet:
     if data.size == 0:
         raise LogitsFileError(f"{path}: no data rows")
     labels, scores = data["y"].copy(), data["s"].copy()
-    if kind == "auto":
-        in_range = scores.min() >= 0.0 and scores.max() <= 1.0
-        is_prob = bool(in_range and
-                       np.max(np.abs(scores.sum(axis=1) - 1.0)) <= 1e-6)
-    else:
-        is_prob = kind == "probabilities"
+    in_range = scores.min() >= 0.0 and scores.max() <= 1.0
+    is_prob = bool(in_range and
+                   np.max(np.abs(scores.sum(axis=1) - 1.0)) <= 1e-6)
     try:
         _check(scores, labels, is_prob)
     except ValueError as exc:

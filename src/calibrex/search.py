@@ -26,6 +26,9 @@ from .suite import (MeasurementRecord, PivotError, _is_int, atomic_output,
 OBJECTIVES = ("acc", "ece", "hcs")
 # the bin count of the ECE a benchmark file gives its architectures
 ECE_BINS = 15
+# regularized evolution: members alive at once, and the tournament size
+POPULATION_SIZE = 20
+SAMPLE_SIZE = 5
 
 
 @dataclass(eq=False)
@@ -144,17 +147,16 @@ def _arch_parts(s: str, space: str):
     return a.ops if space == "tss" else a.channels
 
 
-def write_benchmark(bench: TabularBenchmark, records_path: str,
-                    index_path: Optional[str] = None) -> None:
-    """Persist a benchmark as suite-style JSONL plus an arch-index file."""
-    if index_path is None:
-        index_path = default_index_path(records_path)
+def write_benchmark(bench: TabularBenchmark, records_path: str) -> None:
+    """Persist a benchmark as suite-style JSONL plus an arch-index file at
+    ``default_index_path(records_path)``."""
     cells = (("accuracy", None), ("ece", ECE_BINS))
     records = [MeasurementRecord("benchmark", bench.space, i, metric, bins,
                                  "pre", "test", bench.metrics[metric][i])
                for i in range(len(bench)) for metric, bins in cells]
     write_records(records, records_path)
-    with atomic_output(index_path) as tmp, open(tmp, "w") as fh:
+    with atomic_output(default_index_path(records_path)) as tmp, \
+            open(tmp, "w") as fh:
         json.dump({a: i for i, a in enumerate(bench.archs)}, fh,
                   sort_keys=True)
 
@@ -188,17 +190,16 @@ def _read_index(index_path: str) -> Dict[int, str]:
     return by_index
 
 
-def load_benchmark(records_path: str,
-                   index_path: Optional[str] = None) -> TabularBenchmark:
-    """Join suite JSONL records, pivoted, with the arch-string index.
+def load_benchmark(records_path: str) -> TabularBenchmark:
+    """Join suite JSONL records, pivoted, with the arch-string index at
+    ``default_index_path(records_path)``.
 
     Accuracy comes from "accuracy" records and ECE from "ece" records at
     ``ECE_BINS`` bins, both of the pre stage on the test split; every
     architecture needs both once, and an index entry.  Other records are
     checked and ignored.  The records are read before the index.
     """
-    if index_path is None:
-        index_path = default_index_path(records_path)
+    index_path = default_index_path(records_path)
     keys = ("accuracy_pre", f"ece_{ECE_BINS}_pre")
     try:
         space, table = pivot(iter_records(records_path), keys)
@@ -224,16 +225,10 @@ def load_benchmark(records_path: str,
 class SearchConfig:
     budget: int
     seed: int = 0
-    population_size: int = 20
-    sample_size: int = 5
 
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        if self.population_size < 1 or self.sample_size < 1:
-            raise ValueError("population and sample sizes must be positive")
-        if self.sample_size > self.population_size:
-            raise ValueError("sample size cannot exceed population size")
 
 
 @dataclass
@@ -352,7 +347,7 @@ def regularized_evolution(bench: TabularBenchmark, objective: Objective,
     """
     rng = np.random.default_rng(config.seed)
     ev = _Evaluator(bench, objective, config.budget)
-    n_init = min(config.population_size, config.budget, len(bench))
+    n_init = min(POPULATION_SIZE, config.budget, len(bench))
     init_idx = rng.choice(len(bench), size=n_init, replace=False)
     # members are (value, parts, alphabet, to-string function): parents
     # are mutated without parsing their strings again
@@ -362,7 +357,7 @@ def regularized_evolution(bench: TabularBenchmark, objective: Objective,
         value = ev(arch)
         population.append((value, *_encoding(parse_arch(arch))))
     while not ev.exhausted():
-        k = min(config.sample_size, len(population))
+        k = min(SAMPLE_SIZE, len(population))
         picks = rng.choice(len(population), size=k, replace=False)
         _, parts, alphabet, fmt = max((population[int(p)] for p in picks),
                                       key=lambda member: member[0])

@@ -125,8 +125,6 @@ class SuiteConfig:
     """What to measure and how to tag the records."""
 
     bin_sizes: Tuple[int, ...] = DEFAULT_BIN_SIZES
-    bin_metrics: Tuple[str, ...] = BIN_METRICS
-    continuous_metrics: Tuple[str, ...] = CONTINUOUS_METRICS
     ood_inputs: Optional[Tuple[Sequence[float], Sequence[float]]] = None
     temperature_scale: bool = True
     split: SplitSpec = field(default_factory=lambda: SplitSpec(0.2, seed=0))
@@ -142,12 +140,6 @@ class SuiteConfig:
         if list(sizes) != sorted(set(sizes)):
             raise ValueError("bin sizes must be sorted and unique")
         self.bin_sizes = sizes
-        for m in self.bin_metrics:
-            if m not in BIN_METRICS:
-                raise ValueError(f"unknown bin metric {m!r}")
-        for m in self.continuous_metrics:
-            if m not in CONTINUOUS_METRICS:
-                raise ValueError(f"unknown continuous metric {m!r}")
         if self.ood_inputs is not None and len(self.ood_inputs) != 2:
             raise ValueError("ood_inputs must hold exactly two "
                              "confidence sequences")
@@ -163,7 +155,7 @@ _CONT_FUNCS = {"nll": lambda probs, top: continuous.nll(probs),
 
 def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
               ) -> List[MeasurementRecord]:
-    """Measure every configured metric at every stage on the test split.
+    """Measure every suite metric at every stage on the test split.
 
     The predictions are split into a fitting part and a test part; the
     temperature is fit on the fitting part only, and all metric values are
@@ -190,13 +182,12 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
     for stage, probs, tval in stages:
         # one argmax and one canonical sort serve every top-label metric
         top = tops[stage] = binning._top_label(probs)
-        binned = binning._binned_metrics(probs, top, config.bin_metrics,
-                                         config.bin_sizes)
-        for metric in config.bin_metrics:
+        binned = binning._binned_metrics(probs, top, config.bin_sizes)
+        for metric in BIN_METRICS:
             for bins in config.bin_sizes:
                 records.append(rec(metric, bins, stage, binned[metric, bins],
                                    tval))
-        for metric in config.continuous_metrics:
+        for metric in CONTINUOUS_METRICS:
             records.append(rec(metric, None, stage,
                                _CONT_FUNCS[metric](probs, top), tval))
         if config.include_accuracy:

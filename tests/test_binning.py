@@ -20,7 +20,7 @@ from calibrex import (
     mce,
     reliability_data,
 )
-from calibrex.binning import _top_label, binned_metrics
+from calibrex.binning import _binned_metrics, _top_label
 from calibrex.suite import BIN_METRICS, DEFAULT_BIN_SIZES
 
 
@@ -377,7 +377,7 @@ def kernel_cases():
 
 @pytest.mark.parametrize("name,preds", list(kernel_cases()))
 def test_kernel_matches_loop_reference(name, preds):
-    suite = binned_metrics(preds, BIN_METRICS, DEFAULT_BIN_SIZES)
+    suite = _binned_metrics(preds, _top_label(preds), DEFAULT_BIN_SIZES)
     for m in DEFAULT_BIN_SIZES:
         for scheme in ("width", "mass"):
             want = loop_reference(preds, m, scheme)
@@ -442,14 +442,16 @@ def test_top_label_matches_lexsort_reference(name, preds):
 
 
 def test_binned_metrics_subsets_give_the_same_bits():
+    # a bin count gives the same bits whatever other bin counts share the
+    # kernel call
     rng = np.random.default_rng(13)
     preds = random_prob_preds(rng, 400, 7)
-    full = binned_metrics(preds, BIN_METRICS, DEFAULT_BIN_SIZES)
-    for metric in BIN_METRICS:
-        alone = binned_metrics(preds, (metric,), (DEFAULT_BIN_SIZES[3],))
-        assert alone == {(metric, DEFAULT_BIN_SIZES[3]):
-                         full[metric, DEFAULT_BIN_SIZES[3]]}
-    assert binned_metrics(preds, (), DEFAULT_BIN_SIZES) == {}
+    top = _top_label(preds)
+    full = _binned_metrics(preds, top, DEFAULT_BIN_SIZES)
+    m = DEFAULT_BIN_SIZES[3]
+    assert _binned_metrics(preds, top, (m,)) == {
+        (metric, m): full[metric, m] for metric in BIN_METRICS}
+    assert _binned_metrics(preds, top, ()) == {}
 
 
 def test_binned_metrics_reject_out_of_range_confidences():

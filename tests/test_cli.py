@@ -344,6 +344,19 @@ def test_correlate_bad_table_exits_2_with_one_line(tmp_path, capsys, body,
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_correlate_rejects_a_repeated_arch_index(tmp_path, capsys):
+    # the repeat once counted as a second architecture in every tau
+    table = tmp_path / "table.csv"
+    table.write_text("arch_index,a,b\n0,0.1,0.3\n1,0.2,0.1\n2,0.3,0.2\n"
+                     "1,0.2,0.1\n")
+    out = tmp_path / "m.csv"
+    rc = main(["correlate", "--table", str(table), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: {table}: arch_index 1 has more than one row\n"
+    assert not out.exists()
+
+
 HEADERS = {"table": "arch_index,a,b\n", "csv": "label,s0,s1\n", "ood": ""}
 
 
@@ -474,6 +487,17 @@ def test_search_missing_benchmark_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "/nope/bench.jsonl" in capsys.readouterr().err
+
+
+def test_search_hcs_with_an_infinite_beta_exits_2(tmp_path, capsys):
+    # it once exited 0 and wrote "best_value": -Infinity, not valid JSON
+    out = tmp_path / "r.json"
+    rc = main(["search", "--benchmark", "synthetic", "--objective", "hcs",
+               "--beta", "inf", "--budget", "10", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: beta must be a finite number > 0, got inf\n"
+    assert not out.exists()
 
 
 def test_search_budget_over_space_exits_2(tmp_path, capsys):
@@ -610,6 +634,15 @@ def test_report_size_brackets_require_flag_and_sss(tmp_path, logits_file,
                "--brackets", "120", "--out", out])
     assert rc == 2
     assert "sss" in capsys.readouterr().err
+
+
+def test_report_size_brackets_reject_a_nan_edge(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    rc = main(["report", "--records", sss_records(tmp_path), "--group-by",
+               "size_bracket", "--brackets", "120,nan", "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_percent_scales_values(tmp_path, capsys):

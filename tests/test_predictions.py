@@ -376,15 +376,11 @@ def test_csv_auto_detects_probabilities(tmp_path):
     path = tmp_path / "p.csv"
     write_csv_predictions(path, p)
     assert read_csv_predictions(path).is_probabilities
-    assert read_csv_predictions(path, kind="logits").is_probabilities is False
-
-
-def test_csv_kind_override_and_validation(tmp_path):
-    path = tmp_path / "k.csv"
-    path.write_text("label,s0,s1\n0,0.5,0.5\n")
-    assert read_csv_predictions(path, kind="probabilities").is_probabilities
-    with pytest.raises(ValueError, match="bad kind"):
-        read_csv_predictions(path, kind="scores")
+    # one row off the simplex by more than 1e-6 makes the file logits
+    path.write_text("label,s0,s1\n0,0.5,0.5\n1,0.5,0.500002\n")
+    assert read_csv_predictions(path).is_probabilities is False
+    path.write_text("label,s0,s1\n0,0.5,0.5\n1,0.5,0.5000005\n")
+    assert read_csv_predictions(path).is_probabilities
 
 
 def test_csv_header_errors(tmp_path):

@@ -24,7 +24,7 @@ from calibrex import (
     split,
     write_records,
 )
-from calibrex.suite import PivotError
+from calibrex.suite import BIN_METRICS, CONTINUOUS_METRICS, PivotError
 
 
 def read_back(path):
@@ -68,11 +68,14 @@ def test_suite_without_scaling_has_52_records():
 
 
 def test_reduced_suite_cardinality():
-    cfg = SuiteConfig(bin_sizes=(10,), bin_metrics=("ece",),
-                      continuous_metrics=())
-    records = run_suite(make_preds(), cfg)
-    assert len(records) == 2
-    assert {metric_key(r) for r in records} == {"ece_10_pre", "ece_10_post"}
+    # fewer bin counts drop bin-based records only: 5 metrics x 1 bin count
+    # plus 5 binning-free metrics, at both stages
+    records = run_suite(make_preds(), SuiteConfig(bin_sizes=(10,)))
+    assert len(records) == 20
+    assert {metric_key(r) for r in records} == {
+        f"{m}{mid}_{stage}" for stage in ("pre", "post")
+        for ms, mid in ((BIN_METRICS, "_10"), (CONTINUOUS_METRICS, ""))
+        for m in ms}
 
 
 def test_include_accuracy_adds_one_record_per_stage():
@@ -197,10 +200,6 @@ def test_config_validation():
         SuiteConfig(bin_sizes=(10, 5))
     with pytest.raises(ValueError, match="positive"):
         SuiteConfig(bin_sizes=(0, 5))
-    with pytest.raises(ValueError, match="unknown bin metric"):
-        SuiteConfig(bin_metrics=("ece", "nll"))
-    with pytest.raises(ValueError, match="unknown continuous metric"):
-        SuiteConfig(continuous_metrics=("ece",))
 
 
 def test_record_validation():
@@ -366,11 +365,12 @@ def test_read_records_skips_blank_lines(tmp_path):
 # ---------------------------------------------------------------------------
 
 def two_arch_records():
+    # the ece and nll records of two suites
     out = []
     for arch in (3, 1):
-        cfg = SuiteConfig(bin_sizes=(10,), bin_metrics=("ece",),
-                          continuous_metrics=("nll",), arch_index=arch)
-        out.extend(run_suite(make_preds(seed=arch), cfg))
+        cfg = SuiteConfig(bin_sizes=(10,), arch_index=arch)
+        out.extend(r for r in run_suite(make_preds(seed=arch), cfg)
+                   if r.metric in ("ece", "nll"))
     return out
 
 
