@@ -281,11 +281,15 @@ def size_brackets(sizes, edges: Sequence[float]) -> np.ndarray:
 
 def read_table_csv(path) -> MetricTable:
     """A table as ``write_table_csv`` writes it: header ``arch_index`` and
-    one name per column, then one row per architecture."""
+    one distinct name per column, then one row per architecture."""
     with open(path, newline="") as fh:
         header = read_header(path, fh)
         if not header or header[0] != "arch_index":
             raise ValueError(f"{path}: first column must be arch_index")
+        repeated = [c for i, c in enumerate(header) if c in header[:i]]
+        if repeated:
+            raise ValueError(f"{path}: line 1: column {repeated[0]!r} is "
+                             "repeated")
         names = header[1:]
         # one field per header cell: a short or long row, a non-integer
         # arch_index or a non-numeric cell raises ValueError

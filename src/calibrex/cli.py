@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, archspace, search, suite
-from .predictions import (SplitSpec, read_csv_predictions, read_logits_file,
-                          read_rows)
+from .predictions import (MAGIC, SplitSpec, read_csv_predictions,
+                          read_logits_file, read_rows)
 from .temperature import T_MAX, T_MIN, near_bound
 
 DEFAULT_BINS = ",".join(str(b) for b in suite.DEFAULT_BIN_SIZES)
@@ -45,45 +45,52 @@ def _finite(data) -> None:
 
 
 def _eval_one(task):
-    path, fmt, config = task
-    read = read_logits_file if fmt == "bin" else read_csv_predictions
+    path, config = task
+    with open(path, "rb") as fh:  # a CSV header starts with "label"
+        clbx = fh.read(len(MAGIC)) == MAGIC
+    read = read_logits_file if clbx else read_csv_predictions
     return suite.run_suite(read(path), config)
 
 
-def cmd_eval(args) -> int:
-    seed = _resolve_seed(args.seed)
-    bins = tuple(int(b) for b in args.bins.split(","))
-    if (args.ood_in is None) != (args.ood_out is None):
-        raise ValueError("--ood-in and --ood-out must be given together")
-    ood = None
-    if args.ood_in is not None:
-        ood = (_read_confidences(args.ood_in),
-               _read_confidences(args.ood_out))
-    tasks = []
-    for idx, path in enumerate(args.logits):
-        config = suite.SuiteConfig(
-            bin_sizes=bins, ood_inputs=ood,
-            temperature_scale=args.temperature_scale,
-            split=SplitSpec(args.val_fraction, seed=seed),
-            include_accuracy=args.include_accuracy,
-            benchmark_dataset=Path(path).stem,
-            search_space=args.space, arch_index=idx)
-        tasks.append((path, args.format, config))
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            per_file = pool.map(_eval_one, tasks)
-    else:
-        per_file = [_eval_one(t) for t in tasks]
-    for path, batch in zip(args.logits, per_file):
+def _warned(paths, batches):
+    """Each batch's records, after a warning if its temperature hit a bound."""
+    for path, batch in zip(paths, batches):
         # post-stage records carry the fitted temperature
         fitted = next((r.temperature for r in batch if r.stage == "post"),
                       None)
         if fitted is not None and near_bound(fitted):
             print(f"warning: {path}: fitted temperature {fitted:.6g} is at "
                   f"the bound of [{T_MIN:g}, {T_MAX:g}]", file=sys.stderr)
-    records = [r for batch in per_file for r in batch]
-    suite.write_records(records, args.out)
-    print(f"{len(records)} records written")
+        yield from batch
+
+
+def cmd_eval(args) -> int:
+    if (args.ood_in is None) != (args.ood_out is None):
+        raise ValueError("--ood-in and --ood-out must be given together")
+    ood = None
+    if args.ood_in is not None:
+        ood = (_read_confidences(args.ood_in),
+               _read_confidences(args.ood_out))
+    config = suite.SuiteConfig(
+        bin_sizes=args.bins.split(","), ood_inputs=ood,
+        temperature_scale=args.temperature_scale,
+        split=SplitSpec(args.val_fraction, seed=_resolve_seed(args.seed)),
+        include_accuracy=args.include_accuracy, search_space=args.space)
+    tasks = ((path, dataclasses.replace(
+        config, benchmark_dataset=Path(path).stem, arch_index=idx))
+        for idx, path in enumerate(args.logits))
+    # one model's records at a time, in input order, into one atomic write
+    if args.jobs > 1:
+        import multiprocessing  # only a pool needs it
+        chunks, extra = divmod(len(args.logits), args.jobs * 4)  # as map
+        with multiprocessing.Pool(args.jobs) as pool:
+            batches = pool.imap(_eval_one, tasks, chunks + bool(extra))
+            written = suite.write_records(_warned(args.logits, batches),
+                                          args.out)
+    else:
+        written = suite.write_records(
+            _warned(args.logits, map(_eval_one, tasks)), args.out)
+    print(f"{written} records written")
     return 0
 
 
@@ -118,10 +125,9 @@ def cmd_search(args) -> int:
     algo = {"rs": search.random_search, "re": search.regularized_evolution,
             "ls": search.local_search}[args.algo]
     result = algo(bench, objective, config)
-    with suite.atomic_output(args.out) as tmp:
-        with open(tmp, "w") as fh:
-            json.dump(result.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    with suite.atomic_output(args.out) as tmp, open(tmp, "w") as fh:
+        json.dump(result.to_dict(), fh, sort_keys=True, indent=2)
+        fh.write("\n")
     shown = result.best_value * 100.0 if args.percent else result.best_value
     print(f"best {result.best_arch} objective {shown!r} "
           f"({result.evaluations} evaluations)")
@@ -132,24 +138,16 @@ def cmd_enumerate(args) -> int:
     if args.dedupe and args.space != "tss":
         raise ValueError("--dedupe needs --space tss: fingerprint classes "
                          "exist for topology cells only")
-    if args.space == "tss":
-        archs = archspace.enumerate_tss()
-    else:
-        archs = archspace.enumerate_sss()
-    lines = []
-    if args.dedupe:
-        seen = set()
+    archs = archspace.enumerate_tss() if args.space == "tss" \
+        else archspace.enumerate_sss()
+    if args.dedupe:  # the first arch of each fingerprint class, in order
+        firsts = {}
         for a in archs:
-            fp = archspace.canonical_fingerprint(a)
-            if fp not in seen:
-                seen.add(fp)
-                lines.append(a.to_string())
-    else:
-        lines = [a.to_string() for a in archs]
-    with suite.atomic_output(args.out) as tmp:
-        with open(tmp, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            firsts.setdefault(archspace.canonical_fingerprint(a), a)
+        archs = firsts.values()
+    lines = [a.to_string() for a in archs]
+    with suite.atomic_output(args.out) as tmp, open(tmp, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
     print(f"{len(lines)} architectures written")
     return 0
 
@@ -163,13 +161,11 @@ def _bracket_labels(edges) -> list:
 
 
 def cmd_report(args) -> int:
-    if args.group_by == "bin_count":
+    if args.brackets is None:
         def group_of(rec):
             bins = rec["bin_count"]
             return "unbinned" if bins is None else str(bins)
     else:
-        if args.brackets is None:
-            raise ValueError("--group-by size_bracket requires --brackets")
         edges = [float(x) for x in args.brackets.split(",")]
         space = archspace.enumerate_sss()
         labels = _bracket_labels(edges)
@@ -193,7 +189,7 @@ def cmd_report(args) -> int:
         groups.setdefault(group_of(rec), []).append(rec["value"])
     if not groups:
         raise ValueError("no records")
-    if args.group_by == "bin_count":
+    if args.brackets is None:
         order = sorted((k for k in groups if k != "unbinned"), key=int)
         if "unbinned" in groups:
             order.append("unbinned")
@@ -225,9 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run the measurement suite on "
                                     "prediction files")
     p.add_argument("--logits", action="append", required=True,
-                   metavar="PATH", help="prediction file; repeat for "
-                   "several architectures")
-    p.add_argument("--format", choices=("bin", "csv"), default="bin")
+                   metavar="PATH", help="prediction file, CLBX or CSV by "
+                   "its first bytes; repeat for several architectures")
     p.add_argument("--bins", default=DEFAULT_BINS,
                    help="comma-separated bin counts")
     p.add_argument("--temperature-scale", default=True,
@@ -278,10 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="grouped boxplot statistics from "
                                       "records")
     p.add_argument("--records", required=True, metavar="PATH")
-    p.add_argument("--group-by", choices=("bin_count", "size_bracket"),
-                   default="bin_count")
     p.add_argument("--brackets",
-                   help="comma-separated size edges for size_bracket")
+                   help="comma-separated model-size edges: group sss "
+                        "records by size bracket, not by bin count")
     p.add_argument("--percent", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)

@@ -229,13 +229,15 @@ def atomic_output(path):
             os.unlink(tmp)
 
 
-def write_records(records: Sequence[MeasurementRecord], path) -> None:
-    """Write records as JSONL, atomically (write temp file, then rename)."""
+def write_records(records: Iterable[MeasurementRecord], path) -> int:
+    """Write records as JSONL as they come, atomically (write temp file,
+    then rename); returns how many were written."""
+    count = 0
     with atomic_output(path) as tmp, open(tmp, "w") as fh:
-        for r in records:
+        for count, r in enumerate(records, start=1):
             fh.write(json.dumps(r.to_dict(), sort_keys=True,
-                                separators=(",", ":")))
-            fh.write("\n")
+                                separators=(",", ":")) + "\n")
+    return count
 
 
 _DECODER = json.JSONDecoder()

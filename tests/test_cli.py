@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from calibrex import (
     write_records,
     write_table_csv,
 )
+from calibrex import cli
 from calibrex.cli import main
 
 
@@ -59,7 +61,7 @@ def test_eval_writes_102_records(tmp_path, logits_file, ood_files, capsys):
                "--ood-out", ood_files[1], "--out", out])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "102 records written"
-    lines = [l for l in open(out) if l.strip()]
+    lines = [l for l in Path(out).read_text().splitlines() if l.strip()]
     assert len(lines) == 102
     datasets = {json.loads(l)["benchmark_dataset"] for l in lines}
     assert datasets == {"model"}  # file stem names the dataset
@@ -69,15 +71,14 @@ def test_eval_rerun_is_byte_identical(tmp_path, logits_file):
     a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     for out in (a, b):
         assert main(["eval", "--logits", logits_file, "--out", out]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_eval_csv_format(tmp_path, capsys):
     path = tmp_path / "m.csv"
     write_csv_predictions(path, make_preds())
     out = str(tmp_path / "r.jsonl")
-    rc = main(["eval", "--logits", str(path), "--format", "csv",
-               "--out", out])
+    rc = main(["eval", "--logits", str(path), "--out", out])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "100 records written"
 
@@ -93,7 +94,7 @@ def test_eval_multiple_files_index_archs(tmp_path, capsys):
                "--out", out])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "200 records written"
-    recs = [json.loads(l) for l in open(out)]
+    recs = [json.loads(l) for l in Path(out).read_text().splitlines()]
     by_arch = {r["arch_index"] for r in recs}
     assert by_arch == {0, 1}
     assert {r["benchmark_dataset"] for r in recs} == {"net0", "net1"}
@@ -106,7 +107,7 @@ def test_eval_custom_bins_and_no_scaling(tmp_path, logits_file, capsys):
     assert rc == 0
     # 5 bin metrics x 2 bin counts + 5 continuous, single stage
     assert capsys.readouterr().out.strip() == "15 records written"
-    recs = [json.loads(l) for l in open(out)]
+    recs = [json.loads(l) for l in Path(out).read_text().splitlines()]
     assert {r["stage"] for r in recs} == {"pre"}
     assert {r["bin_count"] for r in recs} == {10, 20, None}
 
@@ -122,7 +123,69 @@ def test_eval_jobs_match_serial(tmp_path):
     base = ["eval", "--logits", paths[0], "--logits", paths[1]]
     assert main(base + ["--out", serial]) == 0
     assert main(base + ["--jobs", "2", "--out", parallel]) == 0
-    assert open(serial, "rb").read() == open(parallel, "rb").read()
+    assert Path(serial).read_bytes() == Path(parallel).read_bytes()
+
+
+def test_eval_writes_each_model_before_reading_the_next(tmp_path,
+                                                       monkeypatch):
+    paths = []
+    for i in range(2):
+        p = tmp_path / f"n{i}.bin"
+        write_logits_file(p, make_preds(seed=i))
+        paths.append(str(p))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    seen = []
+    read = cli.read_logits_file
+
+    def spying_read(path):
+        seen.append([t.read_bytes() for t in outdir.glob("*.tmp")])
+        return read(path)
+
+    monkeypatch.setattr(cli, "read_logits_file", spying_read)
+    out = outdir / "r.jsonl"
+    assert main(["eval", "--logits", paths[0], "--logits", paths[1],
+                 "--out", str(out)]) == 0
+    [held] = seen[1]
+    # what the temp file holds is the first model's records, in order
+    assert held and out.read_bytes().startswith(held)
+    lines = held.split(b"\n")[:-1]  # the complete ones
+    assert lines and {json.loads(l)["arch_index"] for l in lines} == {0}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_bad_second_file_leaves_no_output(tmp_path, capsys, jobs):
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    write_logits_file(good, make_preds())
+    bad.write_bytes(good.read_bytes()[:-3])
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    out = outdir / "r.jsonl"
+    rc = main(["eval", "--logits", str(good), "--logits", str(bad),
+               "--jobs", jobs, "--out", str(out)])
+    assert rc == 2
+    # the first model's warning came as it finished, before the error
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"error: {bad}: truncated body")
+    assert list(outdir.iterdir()) == []
+
+
+def test_eval_reads_by_content_not_by_name(tmp_path):
+    preds = make_preds()
+    outs = {}
+    for fmt, writer in (("clbx", write_logits_file),
+                        ("csv", write_csv_predictions)):
+        for name in ("x.csv", "x.clbx"):
+            model = tmp_path / fmt / name
+            model.parent.mkdir(exist_ok=True)
+            writer(model, preds)
+            out = tmp_path / f"{fmt}-{name}.jsonl"
+            assert main(["eval", "--logits", str(model),
+                         "--out", str(out)]) == 0
+            outs[fmt, name] = out.read_bytes()
+    assert outs["clbx", "x.csv"] == outs["clbx", "x.clbx"]
+    assert outs["csv", "x.clbx"] == outs["csv", "x.csv"]
+    assert outs["clbx", "x.csv"] != outs["csv", "x.csv"]  # float32 scores
 
 
 def test_eval_warns_once_per_file_whose_temperature_is_at_a_bound(
@@ -149,7 +212,7 @@ def test_eval_warns_once_per_file_whose_temperature_is_at_a_bound(
                                   f"0.05")
     assert "at the bound of [0.05, 20]" in warnings[0]
     # the warning is a diagnostic only: the records carry no flag
-    recs = [json.loads(l) for l in open(out)]
+    recs = [json.loads(l) for l in Path(out).read_text().splitlines()]
     assert all(set(r) == set(recs[0]) for r in recs)
     pinned_t = {r["temperature"] for r in recs
                 if r["arch_index"] == 1 and r["stage"] == "post"}
@@ -211,7 +274,7 @@ def test_eval_ood_lines_hold_one_number(tmp_path, logits_file, ood_files,
 
 def test_eval_ood_skips_blank_and_whitespace_lines(tmp_path, logits_file,
                                                   ood_files):
-    values = open(ood_files[1]).read().split()
+    values = Path(ood_files[1]).read_text().split()
     spaced = tmp_path / "spaced.txt"
     spaced.write_text("\n  \n" + "\n \t\n".join(f"  {v} " for v in values)
                       + "\n\n")
@@ -234,8 +297,8 @@ def test_eval_seed_env_fallback(tmp_path, logits_file, monkeypatch):
     assert main(["eval", "--logits", logits_file, "--out", env]) == 0
     monkeypatch.setenv("CALIBREX_SEED", "8")
     assert main(["eval", "--logits", logits_file, "--out", other]) == 0
-    assert open(flagged, "rb").read() == open(env, "rb").read()
-    assert open(env, "rb").read() != open(other, "rb").read()
+    assert Path(flagged).read_bytes() == Path(env).read_bytes()
+    assert Path(env).read_bytes() != Path(other).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +389,19 @@ def test_correlate_rejects_malformed_table(tmp_path, capsys):
     # a byte that is not UTF-8 past the reader's first 8 KiB chunk
     ("".join(f"{i},0.5,1\n" for i in range(2000)).encode() + b"9,\xff,1\n",
      "can't decode byte 0xff"),
+    # once read as a 2x2 matrix over the second "a" and "b"
+    ("0,0.5,1,2\n1,0.25,2,1\n", "line 1: column 'a' is repeated"),
 ], ids=["short-row", "extra-cell", "non-numeric", "float-index", "no-rows",
-        "not-utf8"])
+        "not-utf8", "repeated-name"])
 def test_correlate_bad_table_exits_2_with_one_line(tmp_path, capsys, body,
                                                    where):
     bad = tmp_path / "bad.csv"
+    header = "arch_index,a,a,b\n" if "repeated" in where else \
+        "arch_index,a,b\n"
     if isinstance(body, bytes):
-        bad.write_bytes(b"arch_index,a,b\n" + body)
+        bad.write_bytes(header.encode() + body)
     else:
-        bad.write_text("arch_index,a,b\n" + body)
+        bad.write_text(header + body)
     rc = main(["correlate", "--table", str(bad),
                "--out", str(tmp_path / "m.csv")])
     assert rc == 2
@@ -411,7 +478,7 @@ def test_correlate_bad_table_names_the_file_line(tmp_path, capsys, logits_file,
     elif body is not None:
         bad.write_text(HEADERS[reader] + body)
     argv = {"table": ["correlate", "--table", str(bad)],
-            "csv": ["eval", "--logits", str(bad), "--format", "csv"],
+            "csv": ["eval", "--logits", str(bad)],
             "ood": ["eval", "--logits", logits_file, "--ood-in",
                     ood_files[0], "--ood-out", str(bad)]}[reader]
     rc = main(argv + ["--out", str(out)])
@@ -434,7 +501,7 @@ def test_search_synthetic_writes_result_json(tmp_path, capsys):
                "--budget", "50", "--seed", "3", "--out", out])
     assert rc == 0
     assert "50 evaluations" in capsys.readouterr().out
-    result = json.load(open(out))
+    result = json.loads(Path(out).read_text())
     assert set(result) == {"best_arch", "best_value", "evaluations",
                            "trajectory"}
     assert result["evaluations"] == 50
@@ -452,7 +519,7 @@ def test_search_rerun_is_byte_identical_and_percent_is_display_only(
     plain = capsys.readouterr().out
     assert main(base + ["--percent", "--out", b]) == 0
     pct = capsys.readouterr().out
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     assert plain != pct  # stdout shows the scaled value
 
 
@@ -466,7 +533,7 @@ def test_search_on_benchmark_file(tmp_path, capsys):
     rc = main(["search", "--benchmark", bench_path, "--algo", "rs",
                "--budget", "6", "--out", out])
     assert rc == 0
-    result = json.load(open(out))
+    result = json.loads(Path(out).read_text())
     assert result["best_arch"] == archs[5]
     assert result["best_value"] == pytest.approx(0.75)
 
@@ -520,7 +587,7 @@ def test_enumerate_sss(tmp_path, capsys):
     rc = main(["enumerate", "--space", "sss", "--out", out])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "32768 architectures written"
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 32768
     assert lines[0] == "8:8:8:8:8"
     assert lines[-1] == "64:64:64:64:64"
@@ -531,7 +598,7 @@ def test_enumerate_tss(tmp_path, capsys):
     rc = main(["enumerate", "--space", "tss", "--out", out])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "15625 architectures written"
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 15625
     assert lines[0] == "|none~0|+|none~0|none~1|+|none~0|none~1|none~2|"
 
@@ -541,7 +608,7 @@ def test_enumerate_tss_dedupe(tmp_path, capsys):
     out = str(tmp_path / "uniq.txt")
     rc = main(["enumerate", "--space", "tss", "--dedupe", "--out", out])
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert capsys.readouterr().out.strip() == \
         f"{len(lines)} architectures written"
     # representatives cover each class exactly once
@@ -609,37 +676,35 @@ def sss_records(tmp_path, n_archs=30):
 
 
 def test_report_size_brackets(tmp_path, capsys):
+    # --brackets once needed --group-by size_bracket too; without it the
+    # report exited 0 grouped by bin count, every record in one "15" box
     records = sss_records(tmp_path)
     out = str(tmp_path / "report.csv")
-    rc = main(["report", "--records", records, "--group-by", "size_bracket",
-               "--brackets", "120,240", "--out", out])
+    rc = main(["report", "--records", records, "--brackets", "120,240",
+               "--out", out])
     assert rc == 0
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     labels = [r[0] for r in rows[1:]]
-    assert set(labels) <= {"<120", "[120,240)", ">=240"}
+    assert labels and set(labels) <= {"<120", "[120,240)", ">=240"}
     assert sum(int(r[1]) for r in rows[1:]) == 30
 
 
-def test_report_size_brackets_require_flag_and_sss(tmp_path, logits_file,
-                                                   capsys):
+def test_report_size_brackets_require_sss(tmp_path, logits_file, capsys):
     records = str(tmp_path / "r.jsonl")
     assert main(["eval", "--logits", logits_file, "--out", records]) == 0
-    out = str(tmp_path / "report.csv")
-    rc = main(["report", "--records", records, "--group-by", "size_bracket",
-               "--out", out])
-    assert rc == 2
-    assert "--brackets" in capsys.readouterr().err
-    rc = main(["report", "--records", records, "--group-by", "size_bracket",
-               "--brackets", "120", "--out", out])
+    out = tmp_path / "report.csv"
+    rc = main(["report", "--records", records, "--brackets", "120",
+               "--out", str(out)])
     assert rc == 2
     assert "sss" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_size_brackets_reject_a_nan_edge(tmp_path, capsys):
     out = tmp_path / "report.csv"
-    rc = main(["report", "--records", sss_records(tmp_path), "--group-by",
-               "size_bracket", "--brackets", "120,nan", "--out", str(out)])
+    rc = main(["report", "--records", sss_records(tmp_path),
+               "--brackets", "120,nan", "--out", str(out)])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
@@ -649,8 +714,7 @@ def test_report_percent_scales_values(tmp_path, capsys):
     records = sss_records(tmp_path)
     plain = str(tmp_path / "plain.csv")
     pct = str(tmp_path / "pct.csv")
-    base = ["report", "--records", records, "--group-by", "size_bracket",
-            "--brackets", "120,240"]
+    base = ["report", "--records", records, "--brackets", "120,240"]
     assert main(base + ["--out", plain]) == 0
     assert main(base + ["--percent", "--out", pct]) == 0
     with open(plain, newline="") as fh:
@@ -665,7 +729,7 @@ def test_report_rerun_is_byte_identical(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for out in (a, b):
         assert main(["report", "--records", records, "--out", out]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_report_bad_record_names_the_line(tmp_path, capsys):
@@ -776,6 +840,11 @@ def test_cli_start_does_not_import_scipy():
 def test_cli_start_does_not_import_concurrent_futures():
     # correlate's thread pool is imported when it is used
     assert "concurrent.futures" not in cli_start_modules()
+
+
+def test_cli_start_does_not_import_multiprocessing():
+    # eval's process pool is imported when --jobs asks for one
+    assert "multiprocessing" not in cli_start_modules()
 
 
 def test_outputs_get_the_umask_mode(tmp_path, logits_file):
