@@ -200,9 +200,13 @@ def correlation_matrix(table: MetricTable,
     """Pairwise Kendall tau-b over the chosen columns.
 
     Returns (names, matrix); the matrix is symmetric with unit diagonal.
+    A name given twice is a ValueError.
     """
     names = list(column_names) if column_names is not None \
         else sorted(table.columns)
+    repeated = [c for i, c in enumerate(names) if c in names[:i]]
+    if repeated:
+        raise ValueError(f"column {repeated[0]!r} is repeated")
     columns = [table.column(name) for name in names]
     return names, _tau_b(columns, table.n_rows)
 

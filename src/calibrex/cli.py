@@ -65,6 +65,8 @@ def _warned(paths, batches):
 
 
 def cmd_eval(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if (args.ood_in is None) != (args.ood_out is None):
         raise ValueError("--ood-in and --ood-out must be given together")
     ood = None
@@ -95,10 +97,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    if (args.top_k is None) != (args.by is None):
+        raise ValueError("--top-k and --by must be given together")
     table = analysis.read_table_csv(args.table)
     if args.top_k is not None:
-        if args.by is None:
-            raise ValueError("--top-k requires --by COLUMN")
         if args.top_k > table.n_rows:
             raise ValueError(f"--top-k {args.top_k} exceeds table size "
                              f"{table.n_rows}")

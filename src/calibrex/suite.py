@@ -160,16 +160,17 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
     The predictions are split into a fitting part and a test part; the
     temperature is fit on the fitting part only, and all metric values are
     reported on the test part (stage "pre" raw, stage "post" rescaled).
+
+    One stage is held at a time, and each array is dropped once nothing
+    more reads it: the input after the split (on CPython >= 3.11 that
+    frees a caller's temporary), the fitting part after the fit, the raw
+    probabilities after the pre stage (only its top-label confidences stay,
+    for AUROC), the test logits once the temperature is applied.  At peak
+    that leaves the test logits, one stage's probabilities and its sorted
+    columns, plus the binned kernel's temporaries.
     """
     if config is None:
         config = SuiteConfig()
-    fit_part, test_part = split(preds, config.split)
-    pre = as_probabilities(test_part)
-    stages = [("pre", pre, None)]
-    if config.temperature_scale:
-        temp = fit_temperature(fit_part)
-        stages.append(("post", apply_temperature(test_part, temp),
-                       temp.value))
 
     def rec(metric, bins, stage, value, temperature):
         return MeasurementRecord(config.benchmark_dataset,
@@ -178,10 +179,11 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
                                  temperature)
 
     records = []
-    tops = {}
-    for stage, probs, tval in stages:
+
+    def measure(stage, probs, tval):
+        """Append one stage's records; return its top-label state."""
         # one argmax and one canonical sort serve every top-label metric
-        top = tops[stage] = binning._top_label(probs)
+        top = binning._top_label(probs)
         binned = binning._binned_metrics(probs, top, config.bin_sizes)
         for metric in BIN_METRICS:
             for bins in config.bin_sizes:
@@ -193,8 +195,18 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
         if config.include_accuracy:
             # a 0/1 sum is exact in any order: the bits of probs.accuracy()
             records.append(rec("accuracy", None, stage, top[1].mean(), tval))
+        return top
+
+    fit_part, test_part = split(preds, config.split)
+    del preds
+    temp = fit_temperature(fit_part) if config.temperature_scale else None
+    del fit_part
+    # the pre stage's sorted confidences, which speed up auroc's search
+    pos = measure("pre", as_probabilities(test_part), None)[0]
+    if temp is not None:
+        test_part = apply_temperature(test_part, temp)
+        measure("post", test_part, temp.value)
     if config.ood_inputs is not None:
-        pos = tops["pre"][0]  # sorted, which speeds up auroc's search
         for tag, ood in zip(("a", "b"), config.ood_inputs):
             neg = np.asarray(ood, dtype=np.float64)
             if neg.ndim != 1 or neg.size == 0:

@@ -288,6 +288,14 @@ def test_correlation_matrix_column_subset_and_nan():
     assert mat[0, 0] == mat[1, 1] == 1.0
 
 
+def test_correlation_matrix_rejects_a_repeated_column():
+    # once a 2x2 matrix with a repeated name and 0.9999999999999999 off
+    # the diagonal
+    t = MetricTable(np.arange(5), {"a": np.arange(5.0), "b": np.ones(5)})
+    with pytest.raises(ValueError, match="^column 'a' is repeated$"):
+        correlation_matrix(t, ["a", "b", "a"])
+
+
 def test_top_k_by_orders_and_breaks_ties_by_arch():
     t = small_table()
     best = top_k_by(t, "acc", 2)

@@ -126,6 +126,18 @@ def test_eval_jobs_match_serial(tmp_path):
     assert Path(serial).read_bytes() == Path(parallel).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_eval_rejects_jobs_below_one(tmp_path, logits_file, capsys, jobs):
+    # both once ran serially with exit 0
+    out = tmp_path / "r.jsonl"
+    rc = main(["eval", "--logits", logits_file, "--jobs", jobs,
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
 def test_eval_writes_each_model_before_reading_the_next(tmp_path,
                                                        monkeypatch):
     paths = []
@@ -353,6 +365,28 @@ def test_correlate_topk_requires_by(tmp_path, table_csv, capsys):
                "--out", out])
     assert rc == 2
     assert "--by" in capsys.readouterr().err
+
+
+def test_correlate_by_requires_topk(tmp_path, table_csv, capsys):
+    # once ignored: the unfiltered matrix was written with exit 0
+    out = tmp_path / "mat.csv"
+    rc = main(["correlate", "--table", table_csv, "--by", "nll_pre",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: --top-k and --by must be given together\n"
+    assert not out.exists()
+
+
+def test_correlate_rejects_a_repeated_column(tmp_path, table_csv, capsys):
+    # once a 2x2 matrix with a repeated header
+    out = tmp_path / "mat.csv"
+    rc = main(["correlate", "--table", table_csv,
+               "--columns", "nll_pre,nll_pre", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: column 'nll_pre' is repeated\n"
+    assert not out.exists()
 
 
 def test_correlate_topk_exceeding_rows_exits_2(tmp_path, table_csv, capsys):

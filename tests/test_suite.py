@@ -1,6 +1,7 @@
 """Tests for the measurement-suite runner and the JSONL record format."""
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,23 @@ def test_run_suite_builds_top_label_state_once_per_stage(monkeypatch):
     calls.update(state=0, argmax=0)
     run_suite(make_preds(), SuiteConfig(temperature_scale=False))
     assert calls == {"state": 1, "argmax": 1}
+
+
+def test_run_suite_holds_one_stage_at_a_time():
+    """With the input held by the caller, the traced peak stays within four
+    test-part sized float64 arrays: the test logits, one stage's
+    probabilities, its sorted columns and the binned kernel's temporaries.
+    Both stages' probabilities built at once read about 5 of them."""
+    n, k = 10_000, 120
+    n_test = 8_000  # the default 0.2 split
+    preds = make_preds(n=n, k=k)  # made before tracing starts
+    tracemalloc.start()
+    try:
+        run_suite(preds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n_test * k * 8
 
 
 def test_suite_is_deterministic():
