@@ -18,7 +18,7 @@ from calibrex import (
     SuiteConfig,
     iter_records,
     metric_key,
-    pivot,
+    read_records,
     run_suite,
     write_records,
 )
@@ -67,7 +67,7 @@ def main():
         # one cell per (arch_index, metric key): a second eval's records
         # for the same arch_index would fail here instead of overwriting
         # a cell
-        space, table = pivot(iter_records(out))
+        space, table = read_records(out)
     print(f"\npivoted: {space} space, {table.n_rows} row(s) x "
           f"{len(table.columns)} metric columns; "
           f"ece_15_post = {table.column('ece_15_post')[0]:.4f}")

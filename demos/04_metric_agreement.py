@@ -5,6 +5,9 @@ accuracy and overconfidence, measures each one, and compares rankings:
 rank correlation between every pair of columns, then top-5 lists under
 plain accuracy versus the harmonic accuracy/calibration score.
 """
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from calibrex import (
@@ -13,10 +16,11 @@ from calibrex import (
     SuiteConfig,
     correlation_matrix,
     hcs,
+    read_records,
     run_suite,
-    pivot,
     softmax,
     top_k_by,
+    write_records,
 )
 
 
@@ -43,7 +47,10 @@ def main():
     # one row per arch_index, one column per chosen metric key
     keys = ("accuracy_pre", "ece_15_pre", "mce_15_pre", "nll_pre",
             "brier_pre")
-    _, table = pivot((r.to_dict() for r in records), keys)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        write_records(records, path)
+        _, table = read_records(path, keys)
     quality = hcs(table.column("accuracy_pre"), table.column("ece_15_pre"))
     table = MetricTable(table.arch_index,
                         {**table.columns, "hcs_pre": quality})

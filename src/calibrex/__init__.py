@@ -21,7 +21,8 @@ from .search import (Objective, SearchConfig, SearchResult, TabularBenchmark,
                      neighbors, random_search, regularized_evolution,
                      synth_benchmark, write_benchmark)
 from .suite import (DEFAULT_BIN_SIZES, MeasurementRecord, SuiteConfig,
-                    iter_records, metric_key, pivot, run_suite, write_records)
+                    iter_records, metric_key, read_records, run_suite,
+                    write_records)
 from .temperature import Temperature, apply_temperature, fit_temperature
 
 __version__ = "0.1.0"

@@ -110,8 +110,13 @@ def _discordant(seq: np.ndarray, pad: int) -> np.ndarray:
         blocks[..., :w] &= ~1
         blocks[..., w:] |= 1
         blocks.sort(axis=-1)
-        right = np.einsum("ijk,k->i", blocks & 1,
-                          np.arange(2 * w, dtype=keys.dtype), dtype=np.int64)
+        # the merged positions of the right half: -(key & 1) is all ones
+        # there and zero on the left, so ANDing it with the positions keeps
+        # those of the right half, in the keys' own dtype
+        pos = blocks & 1
+        np.negative(pos, out=pos)
+        pos &= np.arange(2 * w, dtype=keys.dtype)
+        right = pos.sum(axis=(1, 2), dtype=np.int64)
         dis += blocks.shape[1] * (w * w + w * (w - 1) // 2) - right
         w *= 2
     return dis

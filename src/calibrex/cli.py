@@ -163,40 +163,52 @@ def _bracket_labels(edges) -> list:
 
 
 def cmd_report(args) -> int:
+    blocks = suite.read_blocks(args.records)
+    parts = []  # (group number, value) of each record, a block at a time
     if args.brackets is None:
-        def group_of(rec):
-            bins = rec["bin_count"]
-            return "unbinned" if bins is None else str(bins)
+        names = []
+
+        def group_of(kind):
+            bins = kind.bin_count
+            name = "unbinned" if bins is None else str(bins)
+            if name not in names:
+                names.append(name)
+            return names.index(name)
+
+        group = suite.PerKind(group_of, np.int64)
+        parts = [(group(block), block.value) for block in blocks]
     else:
         edges = [float(x) for x in args.brackets.split(",")]
         space = archspace.enumerate_sss()
-        labels = _bracket_labels(edges)
-        label_of = {}  # arch_index -> its bracket label
-
-        def group_of(rec):
-            if rec["search_space"] != "sss":
+        names = _bracket_labels(edges)
+        is_sss = suite.PerKind(lambda k: k.search_space == "sss", bool)
+        size_of = {}  # arch_index -> model size
+        for block in blocks:
+            arch, sss = block.arch_index, is_sss(block)
+            bad = np.flatnonzero(~sss | (arch >= len(space)))
+            stop = bad[0] if bad.size else arch.size
+            if stop:
+                sizes = [size_of[a] if a in size_of else size_of.setdefault(
+                    a, archspace.model_size(space[a]))
+                    for a in arch[:stop].tolist()]
+                parts.append((analysis.size_brackets(sizes, edges),
+                              block.value[:stop]))
+            if bad.size and not sss[stop]:
                 raise ValueError("size brackets need sss records (model "
                                  "size is the channel sum)")
-            arch = rec["arch_index"]
-            if arch not in label_of:
-                if arch >= len(space):
-                    raise ValueError(f"arch_index {arch} outside the sss "
-                                     "space")
-                size = archspace.model_size(space[arch])
-                label_of[arch] = labels[
-                    int(analysis.size_brackets([size], edges)[0])]
-            return label_of[arch]
-    groups = {}
-    for rec in suite.iter_records(args.records):
-        groups.setdefault(group_of(rec), []).append(rec["value"])
-    if not groups:
+            if bad.size:
+                raise ValueError(f"arch_index {arch[stop]} outside the sss "
+                                 "space")
+    if not parts:
         raise ValueError("no records")
+    group, value = (np.concatenate(c) for c in zip(*parts))
+    groups = {names[g]: value[group == g] for g in np.unique(group)}
     if args.brackets is None:
         order = sorted((k for k in groups if k != "unbinned"), key=int)
         if "unbinned" in groups:
             order.append("unbinned")
     else:
-        order = [lab for lab in labels if lab in groups]
+        order = [name for name in names if name in groups]
     scale = 100.0 if args.percent else 1.0
     with suite.atomic_output(args.out) as tmp:
         with open(tmp, "w", newline="") as fh:

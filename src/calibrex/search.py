@@ -20,8 +20,8 @@ from .analysis import MetricTable, hcs
 from .archspace import (SSS_CHANNELS, TSS_OPS, SssArch, TssArch,
                         enumerate_sss, enumerate_tss, parse_arch, sss_string,
                         tss_string)
-from .suite import (MeasurementRecord, PivotError, _is_int, atomic_output,
-                    iter_records, pivot, write_records)
+from .suite import (MeasurementRecord, _is_int, atomic_output, read_records,
+                    write_records)
 
 OBJECTIVES = ("acc", "ece", "hcs")
 # the bin count of the ECE a benchmark file gives its architectures
@@ -191,8 +191,8 @@ def _read_index(index_path: str) -> Dict[int, str]:
 
 
 def load_benchmark(records_path: str) -> TabularBenchmark:
-    """Join suite JSONL records, pivoted, with the arch-string index at
-    ``default_index_path(records_path)``.
+    """Join suite JSONL records, pivoted by ``read_records``, with the
+    arch-string index at ``default_index_path(records_path)``.
 
     Accuracy comes from "accuracy" records and ECE from "ece" records at
     ``ECE_BINS`` bins, both of the pre stage on the test split; every
@@ -201,10 +201,7 @@ def load_benchmark(records_path: str) -> TabularBenchmark:
     """
     index_path = default_index_path(records_path)
     keys = ("accuracy_pre", f"ece_{ECE_BINS}_pre")
-    try:
-        space, table = pivot(iter_records(records_path), keys)
-    except PivotError as exc:
-        raise ValueError(f"{records_path}: {exc}") from None
+    space, table = read_records(records_path, keys)
     if not set(keys) <= table.columns.keys():
         raise ValueError(f"{records_path}: no architecture has both accuracy "
                          f"and ece records at {ECE_BINS} bins")

@@ -8,13 +8,16 @@ stages (10), and, when out-of-distribution confidence sets are supplied,
 from __future__ import annotations
 
 import contextlib
+import functools
+import io
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field, fields
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -27,6 +30,7 @@ DEFAULT_BIN_SIZES = (5, 10, 15, 20, 25, 50, 100, 200, 500)
 BIN_METRICS = ("ece", "ece_em", "cwce", "cwce_em", "mce")
 CONTINUOUS_METRICS = ("nll", "brier", "ksce", "mmce", "kdece")
 STAGES = ("pre", "post")
+_SPACES = ("tss", "sss")  # by a boolean: is it sss
 SPLITS = ("val", "test")
 
 
@@ -255,6 +259,19 @@ def write_records(records: Iterable[MeasurementRecord], path) -> int:
 _DECODER = json.JSONDecoder()
 
 
+def _parse_line(line: bytes) -> Optional[dict]:
+    """One records line as a checked dict, or None for a blank line."""
+    text = line.decode().strip()
+    if not text:
+        return None
+    rec, end = _DECODER.raw_decode(text)
+    if end != len(text):
+        raise ValueError(f"extra data at column {end + 1}")
+    check_record(rec)
+    rec.setdefault("temperature", None)
+    return rec
+
+
 def iter_records(path) -> Iterator[dict]:
     """Stream a records JSONL file as checked plain dicts, one per line.
 
@@ -266,18 +283,12 @@ def iter_records(path) -> Iterator[dict]:
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                text = line.decode().strip()
-                if not text:
-                    continue
-                rec, end = _DECODER.raw_decode(text)
-                if end != len(text):
-                    raise ValueError(f"extra data at column {end + 1}")
-                check_record(rec)
+                rec = _parse_line(line)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad record: {exc}") \
                     from None
-            rec.setdefault("temperature", None)
-            yield rec
+            if rec is not None:
+                yield rec
 
 
 def metric_key(record) -> str:
@@ -290,50 +301,287 @@ def metric_key(record) -> str:
     return f"{record['metric']}{mid}_{record['stage']}"
 
 
-class PivotError(ValueError):
-    """A record stream that does not pivot into one table."""
+class RecordKind(NamedTuple):
+    """The fields that say which cell a record fills, but for the
+    architecture and the dataset."""
+
+    bin_count: Optional[int]
+    metric: str
+    search_space: str
+    split: str
+    stage: str
 
 
-def pivot(records: Iterable[dict], keys: Optional[Sequence[str]] = None
-          ) -> Tuple[str, MetricTable]:
-    """The one pivot from records to cells: (search space, MetricTable).
+@dataclass(frozen=True, eq=False)
+class RecordBlock:
+    """The records of consecutive lines of one file, as columns.
 
-    ``records`` are record dicts (``iter_records``, ``r.to_dict()``); only
-    the test split is read.  Rows are the ``arch_index`` values in
-    ascending order, columns the ``metric_key`` names, only those in
-    ``keys`` when given.  Raises PivotError for a second value of one
-    cell, records of two search spaces, a cell that one architecture lacks
-    while another has it, and no test records at all.
+    Row i is the record on line ``line[i]``; its dataset is
+    ``datasets[dataset[i]]`` and its other fields ``kinds[kind[i]]``.
+    Every block of one read shares these two lists, which grow as the read
+    meets new values.  Temperatures are checked but not kept.
     """
-    space = None
-    archs = set()
-    cells: Dict[str, Dict[int, float]] = {}
-    for rec in records:
-        if space not in (None, rec["search_space"]):
-            raise PivotError(f"records mix search spaces {space!r} and "
-                             f"{rec['search_space']!r}")
-        space = rec["search_space"]
-        if rec["split"] != "test":
-            continue
-        arch = rec["arch_index"]
-        archs.add(arch)
-        key = metric_key(rec)
-        if keys is not None and key not in keys:
-            continue
-        column = cells.setdefault(key, {})
-        if arch in column:
-            raise PivotError(f"second value for {key} at arch_index {arch} "
-                             f"(benchmark_dataset "
-                             f"{rec['benchmark_dataset']!r})")
-        column[arch] = rec["value"]
-    if not archs:
-        raise PivotError("no records with split 'test'")
-    rows = sorted(archs)
+
+    line: np.ndarray        # int64
+    arch_index: np.ndarray  # int64
+    value: np.ndarray       # float64
+    dataset: np.ndarray     # int32
+    kind: np.ndarray        # int32
+    datasets: List[str]
+    kinds: List[RecordKind]
+
+
+class PerKind:
+    """``fn(kind)`` for each row of a block, worked out once per kind."""
+
+    def __init__(self, fn: Callable[[RecordKind], object], dtype):
+        self._fn = fn
+        self._values = np.empty(0, dtype=dtype)
+
+    def __call__(self, block: RecordBlock) -> np.ndarray:
+        known = self._values.size
+        if known < len(block.kinds):
+            new = [self._fn(k) for k in block.kinds[known:]]
+            self._values = np.concatenate(
+                [self._values, np.array(new, dtype=self._values.dtype)])
+        return self._values[block.kind]
+
+
+# about this many bytes of whole lines make one block
+BLOCK_BYTES = 1 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_line():
+    """The line form ``write_records`` writes, with five spans captured:
+    arch_index, the dataset's characters, the five kind fields,
+    temperature and value.
+
+    Strings hold no escape, quote or control character, and a number is a
+    JSON float with a fraction or an exponent: json reads an integer as an
+    int, so ``-0`` is 0 where ``float`` gives -0.0, and such a line goes the
+    per-line route.  The dataset is a span of its own because ``eval``
+    gives each file its own: as part of the kind span, nearly every line
+    of its output would be a new span.
+    """
+    string = rb'"[^"\\\x00-\x1f]*"'
+    exp = rb'[eE][-+]?[0-9]+'
+    real = rb'-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:' + exp + rb')?|' + exp + rb')'
+    return re.compile(
+        rb'^\{"arch_index":(0|[1-9][0-9]{0,17}),'  # < 10**18 fits int64
+        rb'"benchmark_dataset":"([^"\\\x00-\x1f]*)",'
+        rb'("bin_count":(?:null|[1-9][0-9]*),"metric":' + string +
+        rb',"search_space":' + string + rb',"split":' + string +
+        rb',"stage":' + string + rb'),"temperature":(null|' + real +
+        rb'),"value":(' + real + rb')\}$', re.M)
+
+
+class _Codes(list):
+    """Distinct values in order of first sight."""
+
+    def __init__(self):
+        super().__init__()
+        self._index = {}
+
+    def code(self, value) -> int:
+        """The value's index, appending a value not seen before."""
+        i = self._index.setdefault(value, len(self))
+        if i == len(self):
+            self.append(value)
+        return i
+
+
+class _Read:
+    """The datasets and kinds one read has met, and the canonical spans
+    that spell them, each decoded and checked once."""
+
+    def __init__(self):
+        self.datasets, self.kinds = _Codes(), _Codes()
+        self.dataset_of: Dict[bytes, int] = {}
+        self.kind_of: Dict[bytes, int] = {}
+
+    def add_dataset(self, span: bytes) -> bool:
+        try:
+            self.dataset_of[span] = self.datasets.code(span.decode())
+        except UnicodeDecodeError:
+            return False
+        return True
+
+    def add_kind(self, span: bytes) -> bool:
+        try:
+            fields = _DECODER.decode("{" + span.decode() + "}")
+            check_record({**fields, "benchmark_dataset": "",
+                          "arch_index": 0, "value": 0.0})
+        except (TypeError, ValueError):
+            return False
+        self.kind_of[span] = self.kinds.code(RecordKind(**fields))
+        return True
+
+
+def _fast_block(data: bytes, n: int, first: int,
+                read: _Read) -> Optional[RecordBlock]:
+    """The block's ``n`` lines as columns, or None unless every line is
+    canonical and passes ``check_record``."""
+    found = _canonical_line().findall(data)
+    if len(found) != n:
+        return None
+    archs, datasets, kinds, temps, values = zip(*found)
+    value = np.fromiter(map(float, values), np.float64, n)
+    if not np.isfinite(value).all():
+        return None
+    for temp in set(temps).difference((b"null",)):
+        if not 0.0 < float(temp) < math.inf:
+            return None
+    if not (all(map(read.add_dataset,
+                    set(datasets).difference(read.dataset_of)))
+            and all(map(read.add_kind, set(kinds).difference(read.kind_of)))):
+        return None
+    return RecordBlock(
+        np.arange(first, first + n),
+        np.fromiter(map(int, archs), np.int64, n), value,
+        np.fromiter(map(read.dataset_of.__getitem__, datasets), np.int32, n),
+        np.fromiter(map(read.kind_of.__getitem__, kinds), np.int32, n),
+        read.datasets, read.kinds)
+
+
+def _line_blocks(path, data: bytes, first: int,
+                 read: _Read) -> Iterator[RecordBlock]:
+    """The block's records read line by line; at the first bad line, the
+    records before it, then ValueError naming that line."""
+    rows, error = [], None
+    for lineno, line in enumerate(io.BytesIO(data), start=first):
+        try:
+            rec = _parse_line(line)
+        except (TypeError, ValueError) as exc:
+            error = ValueError(f"{path}:{lineno}: bad record: {exc}")
+            break
+        if rec is not None:
+            kind = RecordKind(*(rec[f] for f in RecordKind._fields))
+            rows.append((lineno, rec["arch_index"], float(rec["value"]),
+                         read.datasets.code(rec["benchmark_dataset"]),
+                         read.kinds.code(kind)))
+    if rows:
+        line, arch, value, dataset, kind = zip(*rows)
+        yield RecordBlock(np.array(line, dtype=np.int64),
+                          np.array(arch, dtype=np.int64),
+                          np.array(value, dtype=np.float64),
+                          np.array(dataset, dtype=np.int32),
+                          np.array(kind, dtype=np.int32),
+                          read.datasets, read.kinds)
+    if error is not None:
+        raise error
+
+
+def read_blocks(path) -> Iterator[RecordBlock]:
+    """Stream a records JSONL file as blocks of about ``BLOCK_BYTES`` of
+    whole lines.
+
+    A block whose every line has the form ``write_records`` writes is
+    matched by one pattern and checked on its columns.  Any other block
+    is read line by line as ``iter_records`` reads: blank lines are
+    skipped and the first bad line raises ValueError naming ``path:line``,
+    after the block of the good lines before it.  Both routes accept the
+    same lines into the same columns.
+    """
+    read, first = _Read(), 1
+    with open(path, "rb") as fh:
+        while True:
+            data = fh.read(BLOCK_BYTES)
+            if not data:
+                return
+            data += fh.readline()  # the rest of the block's last line
+            # the file's last line may lack its newline
+            n = data.count(b"\n") + (not data.endswith(b"\n"))
+            block = _fast_block(data, n, first, read)
+            if block is None:
+                yield from _line_blocks(path, data, first, read)
+            else:
+                yield block
+            first += n
+
+
+class PivotError(ValueError):
+    """A records file that does not pivot into one table."""
+
+
+def read_records(path, keys: Optional[Sequence[str]] = None
+                 ) -> Tuple[str, MetricTable]:
+    """The one pivot from a records file to cells: (search space,
+    MetricTable).
+
+    The file is read with ``read_blocks``; only the test split is
+    pivoted.  Rows are the ``arch_index`` values in ascending order,
+    columns the ``metric_key`` names, only those in ``keys`` when given;
+    only those cells and the test ``arch_index`` values are kept while
+    reading.  Raises PivotError, naming ``path`` and the line where there
+    is one, for a second value of one cell, records of two search spaces,
+    a cell that one architecture lacks while another has it, and no test
+    records at all.  Of several faults, the first in file order is
+    raised.
+    """
+    names: Dict[str, int] = {}
+
+    def key_of(kind):
+        if kind.split != "test":
+            return -1
+        name = metric_key(kind._asdict())
+        if keys is not None and name not in keys:
+            return -1
+        return names.setdefault(name, len(names))
+
+    space_of = PerKind(lambda k: k.search_space == "sss", bool)
+    is_test = PerKind(lambda k: k.split == "test", bool)
+    key_col = PerKind(key_of, np.int32)
+    space, datasets, archs, cells = None, [], [], []
+
+    def fold(block, stop):
+        test = is_test(block)[:stop]
+        archs.append(np.unique(block.arch_index[:stop][test]))
+        key = key_col(block)[:stop]
+        want = key >= 0
+        cells.append((key[want], block.arch_index[:stop][want],
+                      block.value[:stop][want], block.line[:stop][want],
+                      block.dataset[:stop][want]))
+
+    try:
+        for block in read_blocks(path):
+            datasets = block.datasets
+            sss = space_of(block)
+            if space is None:
+                space = bool(sss[0])
+            other = np.flatnonzero(sss != space)
+            fold(block, other[0] if other.size else sss.size)
+            if other.size:
+                line = block.line[other[0]]
+                raise PivotError(f"{path}:{line}: records mix search spaces "
+                                 f"{_SPACES[space]!r} and "
+                                 f"{_SPACES[not space]!r}")
+        error = None
+    except ValueError as exc:  # a bad line or a second space
+        error = exc
+    key, arch, value, line, dataset = (np.concatenate(c) for c in zip(
+        *cells or [[np.empty(0, np.int64)] * 5]))
+    order = np.lexsort((arch, key))  # stable: a cell's values in line order
+    key, arch, value, line, dataset = (c[order] for c in
+                                       (key, arch, value, line, dataset))
+    again = np.flatnonzero((key[1:] == key[:-1]) & (arch[1:] == arch[:-1]))
+    if again.size:  # the first line that gives a cell its second value
+        i = 1 + again[np.argmin(line[1 + again])]
+        name = next(n for n, k in names.items() if k == key[i])
+        raise PivotError(f"{path}:{line[i]}: second value for {name} at "
+                         f"arch_index {arch[i]} (benchmark_dataset "
+                         f"{datasets[dataset[i]]!r})")
+    if error is not None:
+        raise error
+    rows = np.unique(np.concatenate(archs or [arch]))
+    if not rows.size:
+        raise PivotError(f"{path}: no records with split 'test'")
     columns = {}
-    for name, by_arch in sorted(cells.items()):
-        if len(by_arch) != len(rows):
-            missing = [a for a in rows if a not in by_arch]
-            raise PivotError(f"column {name!r} missing for arch(es) "
-                             f"{missing[:5]}")
-        columns[name] = np.array([by_arch[a] for a in rows])
-    return space, MetricTable(np.array(rows), columns)
+    for name in sorted(names):
+        lo, hi = np.searchsorted(key, [names[name], names[name] + 1])
+        if hi - lo != rows.size:
+            missing = np.setdiff1d(rows, arch[lo:hi])[:5].tolist()
+            raise PivotError(f"{path}: column {name!r} missing for "
+                             f"arch(es) {missing}")
+        columns[name] = value[lo:hi]
+    return _SPACES[space], MetricTable(rows, columns)

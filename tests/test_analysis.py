@@ -217,6 +217,51 @@ def test_correlation_matrix_bits_do_not_depend_on_the_thread_count(
     assert np.isfinite(rest).all()
 
 
+def discordant_einsum(seq, pad):
+    """The merge count as it was written with an einsum over the right
+    half's positions: the reference for ``analysis._discordant``."""
+    m, n = seq.shape
+    size = max(analysis._BLOCK, 1 << (n - 1).bit_length())
+    keys = np.full((m, size), pad, dtype=analysis._key_dtype(pad))
+    keys[:, :n] = seq
+    dis = np.zeros(m, dtype=np.int64)
+    for a in range(analysis._BLOCK):
+        for b in range(a + 1, analysis._BLOCK):
+            blocks = keys.reshape(m, -1, analysis._BLOCK)
+            dis += (blocks[..., a] > blocks[..., b]).sum(axis=1)
+    keys <<= 1
+    w = analysis._BLOCK
+    while w < size:
+        blocks = keys.reshape(m, -1, 2 * w)
+        blocks[..., :w] &= ~1
+        blocks[..., w:] |= 1
+        blocks.sort(axis=-1)
+        right = np.einsum("ijk,k->i", blocks & 1,
+                          np.arange(2 * w, dtype=keys.dtype), dtype=np.int64)
+        dis += blocks.shape[1] * (w * w + w * (w - 1) // 2) - right
+        w *= 2
+    return dis
+
+
+@pytest.mark.parametrize("n, dtype", [(5_000, np.int16),
+                                      (17_000, np.int32)])
+def test_discordant_matches_the_einsum_count(monkeypatch, n, dtype):
+    assert analysis._key_dtype(n) == dtype
+    rng = np.random.default_rng(n)
+    seq = np.stack([rng.permutation(n), rng.integers(0, n, n),
+                    np.arange(n)[::-1] // 3]).astype(dtype)
+    want = discordant_einsum(seq, n)
+    assert analysis._discordant(seq, n).tolist() == want.tolist()
+    # and the matrix keeps its bits on one and on two threads
+    table = MetricTable(np.arange(n), {str(i): seq[i].astype(float)
+                                       for i in range(3)})
+    mats = []
+    for workers in (1, 2):
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: workers)
+        mats.append(correlation_matrix(table)[1].tobytes())
+    assert mats[0] == mats[1]
+
+
 def test_an_error_in_a_worker_propagates(monkeypatch):
     def fail(seq, pad):
         raise RuntimeError("count failed")

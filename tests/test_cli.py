@@ -16,7 +16,7 @@ from calibrex import (
     PredictionSet,
     TabularBenchmark,
     enumerate_tss,
-    pivot,
+    read_records,
     write_benchmark,
     write_csv_predictions,
     write_logits_file,
@@ -329,8 +329,9 @@ def table_csv(tmp_path):
         records.append(MeasurementRecord(
             "d", "tss", arch, "nll", None, "pre", "test",
             float(rng.uniform(0.5, 2.0))))
+    write_records(records, tmp_path / "records.jsonl")
     path = tmp_path / "table.csv"
-    write_table_csv(pivot(r.to_dict() for r in records)[1], path)
+    write_table_csv(read_records(tmp_path / "records.jsonl")[1], path)
     return str(path)
 
 
@@ -814,8 +815,9 @@ def test_search_on_pooled_evals_names_the_repeated_cell(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == (f"error: {bench_path}: second value for ece_15_pre at "
-                   "arch_index 0 (benchmark_dataset 'm1')\n")
+    # the first part holds 102 records; m1's ECE at 15 bins is its third
+    assert err == (f"error: {bench_path}:105: second value for ece_15_pre "
+                   "at arch_index 0 (benchmark_dataset 'm1')\n")
     assert not out.exists()
 
 

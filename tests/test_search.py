@@ -240,8 +240,8 @@ def test_load_benchmark_rejects_what_it_once_dropped(tmp_path, case):
     assert load_benchmark(path).archs == sorted(archs)
     if case == "repeated-cell":
         records += _two_arch_records("m2")[1:2]
-        message = (f"{path}: second value for ece_15_pre at arch_index 0 "
-                   "(benchmark_dataset 'm2')")
+        message = (f"{path}:5: second value for ece_15_pre at arch_index "
+                   "0 (benchmark_dataset 'm2')")
     elif case == "arch-not-in-index":
         index_path.write_text(json.dumps({archs[0]: 0}))
         message = f"{index_path}: no architecture for arch_index 1 of {path}"

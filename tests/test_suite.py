@@ -20,7 +20,7 @@ from calibrex import (
     iter_records,
     metric_key,
     nll,
-    pivot,
+    read_records,
     run_suite,
     split,
     write_records,
@@ -392,8 +392,14 @@ def two_arch_records():
     return out
 
 
-def test_pivot_rows_and_columns():
-    space, table = pivot(r.to_dict() for r in two_arch_records())
+def pivot(tmp_path, records, keys=None):
+    path = tmp_path / "pivot.jsonl"
+    write_records(records, path)
+    return read_records(path, keys)
+
+
+def test_pivot_rows_and_columns(tmp_path):
+    space, table = pivot(tmp_path, two_arch_records())
     assert space == "tss"
     assert table.arch_index.tolist() == [1, 3]
     assert sorted(table.columns) == ["ece_10_post", "ece_10_pre",
@@ -403,56 +409,61 @@ def test_pivot_rows_and_columns():
     for name, column in table.columns.items():
         assert column.tolist() == [by_cell[1, name], by_cell[3, name]]
     # keys pick columns; every test-split arch stays a row
-    _, table = pivot((r.to_dict() for r in two_arch_records()),
-                     ("nll_pre", "no_such_key"))
+    _, table = pivot(tmp_path, two_arch_records(), ("nll_pre", "no_such_key"))
     assert table.arch_index.tolist() == [1, 3]
     assert list(table.columns) == ["nll_pre"]
 
 
 def test_pivot_reads_a_records_file(tmp_path):
-    path = tmp_path / "r.jsonl"
-    write_records(two_arch_records(), path)
-    _, table = pivot(iter_records(path))
-    _, want = pivot(r.to_dict() for r in two_arch_records())
+    # a file read line by line gives the table of the canonical file
+    records = two_arch_records()
+    _, want = pivot(tmp_path, records)
+    path = tmp_path / "spaced.jsonl"
+    path.write_text("".join(json.dumps(r.to_dict()) + "\n" for r in records))
+    _, table = read_records(path)
     assert table.arch_index.tolist() == want.arch_index.tolist()
     assert {k: v.tolist() for k, v in table.columns.items()} == \
         {k: v.tolist() for k, v in want.columns.items()}
 
 
-def test_pivot_rejects_missing_cells():
+def test_pivot_rejects_missing_cells(tmp_path):
     records = two_arch_records()
-    dropped = [r.to_dict() for r in records
+    dropped = [r for r in records
                if not (r.arch_index == 1 and metric_key(r) == "nll_pre")]
     with pytest.raises(PivotError, match=re.escape(
-            "column 'nll_pre' missing for arch(es) [1]")):
-        pivot(dropped)
+            "pivot.jsonl: column 'nll_pre' missing for arch(es) [1]")):
+        pivot(tmp_path, dropped)
 
 
 def test_pivot_reads_the_test_split_only(tmp_path):
-    records = [r.to_dict() for r in two_arch_records()]
-    val = [{**r, "split": "val"} for r in records]
-    path = tmp_path / "val.jsonl"
-    write_records([MeasurementRecord(**r) for r in val], path)
-    with pytest.raises(PivotError, match="no records with split 'test'"):
-        pivot(iter_records(path))
+    records = two_arch_records()
+    val = [MeasurementRecord(**{**r.to_dict(), "split": "val"})
+           for r in records]
+    with pytest.raises(PivotError, match="pivot.jsonl: no records with "
+                       "split 'test'"):
+        pivot(tmp_path, val)
     # a val value never takes a test cell's place
-    _, table = pivot(records[:1] + val)
+    _, table = pivot(tmp_path, records[:1] + val)
     assert table.columns[metric_key(records[0])].tolist() == \
-        [records[0]["value"]]
+        [records[0].value]
 
 
-def test_pivot_rejects_a_repeated_cell():
-    records = [r.to_dict() for r in two_arch_records()]
-    again = {**records[2], "benchmark_dataset": "second", "value": 0.5}
+def test_pivot_rejects_a_repeated_cell(tmp_path):
+    records = two_arch_records()
+    again = MeasurementRecord(**{**records[2].to_dict(),
+                                 "benchmark_dataset": "second", "value": 0.5})
     with pytest.raises(PivotError, match=re.escape(
-            f"second value for {metric_key(again)} at arch_index 3 "
-            "(benchmark_dataset 'second')")):
-        pivot(records + [again])
+            f"pivot.jsonl:{len(records) + 1}: second value for "
+            f"{metric_key(again)} at arch_index 3 (benchmark_dataset "
+            "'second')")):
+        pivot(tmp_path, records + [again])
 
 
-def test_pivot_rejects_mixed_spaces():
-    records = [r.to_dict() for r in two_arch_records()]
-    other = {**records[0], "search_space": "sss", "split": "val"}
-    with pytest.raises(PivotError,
-                       match="records mix search spaces 'tss' and 'sss'"):
-        pivot(records + [other])
+def test_pivot_rejects_mixed_spaces(tmp_path):
+    records = two_arch_records()
+    other = MeasurementRecord(**{**records[0].to_dict(),
+                                 "search_space": "sss", "split": "val"})
+    with pytest.raises(PivotError, match=re.escape(
+            f"pivot.jsonl:{len(records) + 1}: records mix search spaces "
+            "'tss' and 'sss'")):
+        pivot(tmp_path, records + [other])
