@@ -301,10 +301,19 @@ def read_table_csv(path) -> MetricTable:
                              "repeated")
         names = header[1:]
         # one field per header cell: a short or long row, a non-integer
-        # arch_index or a non-numeric cell raises ValueError
+        # arch_index or a non-numeric or non-finite cell raises ValueError
         dtype = [("arch_index", np.int64)] + [(f"c{i}", np.float64)
                                              for i in range(len(names))]
-        data = read_rows(path, fh, dtype, delimiter=",")
+
+        def finite(data):
+            for i, name in enumerate(names):
+                bad = ~np.isfinite(data[f"c{i}"])
+                if bad.any():
+                    raise ValueError(f"column {name!r}: "
+                                     f"{data[f'c{i}'][bad][0]} is not a "
+                                     "finite number")
+
+        data = read_rows(path, fh, dtype, delimiter=",", check=finite)
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
     try:

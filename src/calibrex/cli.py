@@ -69,6 +69,10 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if (args.ood_in is None) != (args.ood_out is None):
         raise ValueError("--ood-in and --ood-out must be given together")
+    if args.ood_in is not None and len(args.logits) > 1:
+        raise ValueError("OoD files belong to one model: --ood-in and "
+                         "--ood-out need exactly one --logits, got "
+                         f"{len(args.logits)}")
     ood = None
     if args.ood_in is not None:
         ood = (_read_confidences(args.ood_in),
@@ -107,6 +111,12 @@ def cmd_correlate(args) -> int:
         table = analysis.top_k_by(table, args.by, args.top_k)
     columns = args.columns.split(",") if args.columns else None
     names, mat = analysis.correlation_matrix(table, columns)
+    if len(names) > 1:
+        for name in names:
+            values = table.column(name)
+            if (values == values[0]).all():
+                print(f"warning: {args.table}: column {name!r} is constant, "
+                      "so its tau-b row and column are nan", file=sys.stderr)
     with suite.atomic_output(args.out) as tmp:
         analysis.write_matrix_csv(names, mat, tmp)
     print(f"{len(names)}x{len(names)} correlation matrix written")
@@ -163,65 +173,38 @@ def _bracket_labels(edges) -> list:
 
 
 def cmd_report(args) -> int:
-    blocks = suite.read_blocks(args.records)
-    parts = []  # (group number, value) of each record, a block at a time
+    space, table = suite.read_records(args.records)
     if args.brackets is None:
-        names = []
-
-        def group_of(kind):
-            bins = kind.bin_count
-            name = "unbinned" if bins is None else str(bins)
-            if name not in names:
-                names.append(name)
-            return names.index(name)
-
-        group = suite.PerKind(group_of, np.int64)
-        parts = [(group(block), block.value) for block in blocks]
+        labels, group = ["all"], np.zeros(table.n_rows, dtype=np.int64)
     else:
         edges = [float(x) for x in args.brackets.split(",")]
-        space = archspace.enumerate_sss()
-        names = _bracket_labels(edges)
-        is_sss = suite.PerKind(lambda k: k.search_space == "sss", bool)
-        size_of = {}  # arch_index -> model size
-        for block in blocks:
-            arch, sss = block.arch_index, is_sss(block)
-            bad = np.flatnonzero(~sss | (arch >= len(space)))
-            stop = bad[0] if bad.size else arch.size
-            if stop:
-                sizes = [size_of[a] if a in size_of else size_of.setdefault(
-                    a, archspace.model_size(space[a]))
-                    for a in arch[:stop].tolist()]
-                parts.append((analysis.size_brackets(sizes, edges),
-                              block.value[:stop]))
-            if bad.size and not sss[stop]:
-                raise ValueError("size brackets need sss records (model "
-                                 "size is the channel sum)")
-            if bad.size:
-                raise ValueError(f"arch_index {arch[stop]} outside the sss "
-                                 "space")
-    if not parts:
-        raise ValueError("no records")
-    group, value = (np.concatenate(c) for c in zip(*parts))
-    groups = {names[g]: value[group == g] for g in np.unique(group)}
-    if args.brackets is None:
-        order = sorted((k for k in groups if k != "unbinned"), key=int)
-        if "unbinned" in groups:
-            order.append("unbinned")
-    else:
-        order = [name for name in names if name in groups]
+        if space != "sss":
+            raise ValueError("size brackets need sss records (model size is "
+                             "the channel sum)")
+        archs = archspace.enumerate_sss()
+        outside = table.arch_index[table.arch_index >= len(archs)]
+        if outside.size:
+            raise ValueError(f"arch_index {outside[0]} outside the sss space")
+        sizes = [archspace.model_size(archs[a])
+                 for a in table.arch_index.tolist()]
+        group = analysis.size_brackets(sizes, edges)
+        labels = _bracket_labels(edges)
+    groups = [(label, group == g) for g, label in enumerate(labels)
+              if (group == g).any()]
     scale = 100.0 if args.percent else 1.0
     with suite.atomic_output(args.out) as tmp:
         with open(tmp, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["group", "n", "median", "q1", "q3", "whisker_lo",
-                        "whisker_hi", "n_outliers"])
-            for key in order:
-                s = analysis.boxplot_stats(groups[key])
-                w.writerow([key, s.n] +
-                           [repr(v * scale) for v in
-                            (s.median, s.q1, s.q3, s.whisker_lo,
-                             s.whisker_hi)] + [s.n_outliers])
-    print(f"{len(order)} groups written")
+            w.writerow(["metric", "group", "n", "median", "q1", "q3",
+                        "whisker_lo", "whisker_hi", "n_outliers"])
+            for metric, values in table.columns.items():
+                for label, members in groups:
+                    s = analysis.boxplot_stats(values[members])
+                    w.writerow([metric, label, s.n] +
+                               [repr(v * scale) for v in
+                                (s.median, s.q1, s.q3, s.whisker_lo,
+                                 s.whisker_hi)] + [s.n_outliers])
+    print(f"{len(table.columns) * len(groups)} boxes written")
     return 0
 
 
@@ -284,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("report", help="grouped boxplot statistics from "
-                                      "records")
+    p = sub.add_parser("report", help="boxplot statistics of each metric "
+                                      "column of records")
     p.add_argument("--records", required=True, metavar="PATH")
     p.add_argument("--brackets",
-                   help="comma-separated model-size edges: group sss "
-                        "records by size bracket, not by bin count")
+                   help="comma-separated model-size edges: one box per "
+                        "size bracket of sss records")
     p.add_argument("--percent", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)

@@ -246,8 +246,12 @@ class _Evaluator:
     """Memoized benchmark queries; every call counts against the budget.
 
     The objective is scored for the whole benchmark up front; the first
-    visit of an architecture still queries the benchmark, which raises
-    KeyError for one it does not hold.
+    visit of an architecture still goes through ``bench.query``, which
+    raises KeyError for one it does not hold.  That call is also where a
+    subclass sees which architectures a search visits: ``CountingBenchmark``
+    in ``bench/tracing.py`` overrides ``query`` to count the distinct ones
+    for ``search.unique_ratio``, and a lookup in ``scores`` alone would
+    leave that count at 0.
     """
 
     def __init__(self, bench: TabularBenchmark, objective: Objective,

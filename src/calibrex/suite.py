@@ -16,7 +16,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field, fields
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+from typing import (Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
 import numpy as np
@@ -331,22 +331,6 @@ class RecordBlock:
     kinds: List[RecordKind]
 
 
-class PerKind:
-    """``fn(kind)`` for each row of a block, worked out once per kind."""
-
-    def __init__(self, fn: Callable[[RecordKind], object], dtype):
-        self._fn = fn
-        self._values = np.empty(0, dtype=dtype)
-
-    def __call__(self, block: RecordBlock) -> np.ndarray:
-        known = self._values.size
-        if known < len(block.kinds):
-            new = [self._fn(k) for k in block.kinds[known:]]
-            self._values = np.concatenate(
-                [self._values, np.array(new, dtype=self._values.dtype)])
-        return self._values[block.kind]
-
-
 # about this many bytes of whole lines make one block
 BLOCK_BYTES = 1 << 20
 
@@ -472,7 +456,7 @@ def _line_blocks(path, data: bytes, first: int,
         raise error
 
 
-def read_blocks(path) -> Iterator[RecordBlock]:
+def _read_blocks(path) -> Iterator[RecordBlock]:
     """Stream a records JSONL file as blocks of about ``BLOCK_BYTES`` of
     whole lines.
 
@@ -509,7 +493,7 @@ def read_records(path, keys: Optional[Sequence[str]] = None
     """The one pivot from a records file to cells: (search space,
     MetricTable).
 
-    The file is read with ``read_blocks``; only the test split is
+    The file is read with ``_read_blocks``; only the test split is
     pivoted.  Rows are the ``arch_index`` values in ascending order,
     columns the ``metric_key`` names, only those in ``keys`` when given;
     only those cells and the test ``arch_index`` values are kept while
@@ -520,37 +504,33 @@ def read_records(path, keys: Optional[Sequence[str]] = None
     raised.
     """
     names: Dict[str, int] = {}
+    # of each kind met, in read order: is it sss, is it test, and its
+    # column number, or -1 for a cell not kept
+    per_kind: List[Tuple[bool, bool, int]] = []
 
-    def key_of(kind):
-        if kind.split != "test":
-            return -1
-        name = metric_key(kind._asdict())
-        if keys is not None and name not in keys:
-            return -1
-        return names.setdefault(name, len(names))
+    def kind_columns(block):
+        for kind in block.kinds[len(per_kind):]:
+            name, test = metric_key(kind._asdict()), kind.split == "test"
+            col = names.setdefault(name, len(names)) \
+                if test and (keys is None or name in keys) else -1
+            per_kind.append((kind.search_space == "sss", test, col))
+        rows = np.array(per_kind, dtype=np.int32)[block.kind]
+        return rows[:, 0] == 1, rows[:, 1] == 1, rows[:, 2]
 
-    space_of = PerKind(lambda k: k.search_space == "sss", bool)
-    is_test = PerKind(lambda k: k.split == "test", bool)
-    key_col = PerKind(key_of, np.int32)
     space, datasets, archs, cells = None, [], [], []
-
-    def fold(block, stop):
-        test = is_test(block)[:stop]
-        archs.append(np.unique(block.arch_index[:stop][test]))
-        key = key_col(block)[:stop]
-        want = key >= 0
-        cells.append((key[want], block.arch_index[:stop][want],
-                      block.value[:stop][want], block.line[:stop][want],
-                      block.dataset[:stop][want]))
-
     try:
-        for block in read_blocks(path):
+        for block in _read_blocks(path):
             datasets = block.datasets
-            sss = space_of(block)
+            sss, test, key = kind_columns(block)
             if space is None:
                 space = bool(sss[0])
             other = np.flatnonzero(sss != space)
-            fold(block, other[0] if other.size else sss.size)
+            stop = other[0] if other.size else sss.size
+            archs.append(np.unique(block.arch_index[:stop][test[:stop]]))
+            want = np.flatnonzero(key[:stop] >= 0)
+            cells.append((key[want], block.arch_index[want],
+                          block.value[want], block.line[want],
+                          block.dataset[want]))
             if other.size:
                 line = block.line[other[0]]
                 raise PivotError(f"{path}:{line}: records mix search spaces "

@@ -15,7 +15,9 @@ from calibrex import (
     MeasurementRecord,
     PredictionSet,
     TabularBenchmark,
+    boxplot_stats,
     enumerate_tss,
+    metric_key,
     read_records,
     write_benchmark,
     write_csv_predictions,
@@ -251,6 +253,23 @@ def test_eval_ood_must_come_in_pairs(tmp_path, logits_file, ood_files,
     assert "together" in capsys.readouterr().err
 
 
+def test_eval_ood_files_belong_to_one_model(tmp_path, logits_file,
+                                           ood_files, capsys):
+    # once every model of the call was scored against the same OoD
+    # confidences, which are one model's own
+    other = tmp_path / "other.bin"
+    write_logits_file(other, make_preds(seed=1))
+    out = tmp_path / "r.jsonl"
+    rc = main(["eval", "--logits", logits_file, "--logits", str(other),
+               "--ood-in", ood_files[0], "--ood-out", ood_files[1],
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: OoD files belong to one model: --ood-in and --ood-out need "
+        "exactly one --logits, got 2\n")
+    assert not out.exists()
+
+
 def test_eval_bad_ood_content(tmp_path, logits_file, capsys):
     bad = tmp_path / "ood.txt"
     bad.write_text("0.5\nhello\n")
@@ -406,6 +425,25 @@ def test_correlate_unknown_column_exits_2(tmp_path, table_csv, capsys):
     assert "no column 'bogus'" in capsys.readouterr().err
 
 
+def test_correlate_names_a_constant_column(tmp_path, capsys):
+    # its tau-b row and column are nan, once without a word
+    table = tmp_path / "table.csv"
+    table.write_text("arch_index,a,b,c\n0,0.1,0.5,0.3\n1,0.2,0.5,0.1\n"
+                     "2,0.3,0.5,0.2\n")
+    out = tmp_path / "m.csv"
+    rc = main(["correlate", "--table", str(table), "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == (f"warning: {table}: column 'b' is constant, so "
+                            "its tau-b row and column are nan\n")
+    assert captured.out == "3x3 correlation matrix written\n"
+    with open(out, newline="") as fh:
+        mat = np.array([[float(x) for x in r[1:]]
+                        for r in list(csv.reader(fh))[1:]])
+    assert np.isnan(mat[1, [0, 2]]).all() and np.isnan(mat[[0, 2], 1]).all()
+    assert not np.isnan(mat[0, 2])
+
+
 def test_correlate_rejects_malformed_table(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("foo,bar\n1,2\n")
@@ -467,6 +505,11 @@ HEADERS = {"table": "arch_index,a,b\n", "csv": "label,s0,s1\n", "ood": ""}
     ("table", "0,0.5,1\n1,0.25,abc\n", 3, "'abc'"),
     ("table", "\n0,0.5,1\n\n1,0.25,abc\n2,1,2\n", 5, "'abc'"),
     ("table", "0,0.5,1\n1,2,3\n2,3,4\n3,4\n4,5,6\n", 5, "2 were found"),
+    # cells that parse but are not finite: once ranked, or a nan row
+    ("table", "0,0.5,1\n\n1,nan,2\n", 4,
+     "column 'a': nan is not a finite number"),
+    ("table", "0,0.5,1\n1,0.25,-inf\n2,inf,1\n", 3,
+     "column 'b': -inf is not a finite number"),
     ("csv", "0,0.5,0.5\n1,0.25\n", 3, "requires 3 columns but 2 were found"),
     ("csv", "0,0.5,0.5\n1,0.25,abc\n", 3,
      "could not convert string 'abc' to float64, column 3."),
@@ -495,6 +538,7 @@ HEADERS = {"table": "arch_index,a,b\n", "csv": "label,s0,s1\n", "ood": ""}
     ("csv", None, None, "No such file or directory"),
     ("ood", None, None, "No such file or directory"),
 ], ids=["short-row", "bad-cell", "after-blank-lines", "fifth-line",
+        "nan-cell", "inf-cell",
         "csv-short-row", "csv-bad-cell", "csv-after-blank-lines",
         "csv-nan-score-after-blank-line", "csv-inf-score",
         "csv-label-out-of-range",
@@ -670,23 +714,62 @@ def test_enumerate_sss_dedupe_exits_2(tmp_path, capsys):
 # report
 # ---------------------------------------------------------------------------
 
-def test_report_groups_by_bin_count(tmp_path, logits_file, capsys):
-    records = str(tmp_path / "r.jsonl")
-    assert main(["eval", "--logits", logits_file, "--out", records]) == 0
+REPORT_HEADER = ["metric", "group", "n", "median", "q1", "q3", "whisker_lo",
+                 "whisker_hi", "n_outliers"]
+
+
+def test_report_writes_one_box_per_metric_column(tmp_path, capsys):
+    # a box once pooled every metric of both stages at one bin count
+    argv = ["eval"]
+    for i in range(3):
+        model = tmp_path / f"net{i}.bin"
+        write_logits_file(model, make_preds(seed=i))
+        argv += ["--logits", str(model)]
+    records = tmp_path / "r.jsonl"
+    assert main(argv + ["--out", str(records)]) == 0
     capsys.readouterr()
     out = str(tmp_path / "report.csv")
-    rc = main(["report", "--records", records, "--out", out])
-    assert rc == 0
-    assert capsys.readouterr().out.strip() == "10 groups written"
+    assert main(["report", "--records", str(records), "--out", out]) == 0
+    assert capsys.readouterr().out == "100 boxes written\n"
+    values = {}
+    for line in records.read_text().splitlines():
+        rec = json.loads(line)
+        values.setdefault(metric_key(rec), []).append(rec["value"])
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["group", "n", "median", "q1", "q3", "whisker_lo",
-                       "whisker_hi", "n_outliers"]
-    groups = [r[0] for r in rows[1:]]
-    assert groups == ["5", "10", "15", "20", "25", "50", "100", "200",
-                      "500", "unbinned"]
-    # each bin count: 5 metrics x 2 stages; unbinned: 5 x 2 continuous
-    assert [int(r[1]) for r in rows[1:]] == [10] * 10
+    assert rows[0] == REPORT_HEADER
+    assert [r[0] for r in rows[1:]] == sorted(values)
+    for row in rows[1:]:
+        s = boxplot_stats(values[row[0]])
+        assert s.n == 3
+        assert row[1:] == ["all", "3"] + [repr(v) for v in (
+            s.median, s.q1, s.q3, s.whisker_lo, s.whisker_hi)] + \
+            [str(s.n_outliers)]
+
+
+@pytest.mark.parametrize("case", ["two-datasets", "two-spaces",
+                                  "missing-cell"])
+def test_report_needs_records_that_pivot(tmp_path, capsys, case):
+    # each was once pooled into the boxes with exit 0
+    second = {"two-datasets": ("cifar100", "tss", 0),
+              "two-spaces": ("cifar10", "sss", 1),
+              "missing-cell": ("cifar10", "tss", 1)}[case]
+    records = [MeasurementRecord("cifar10", "tss", 0, "ece", 15, "pre",
+                                 "test", 0.1),
+               MeasurementRecord("cifar10", "tss", 0, "nll", None, "pre",
+                                 "test", 0.9),
+               MeasurementRecord(*second, "ece", 15, "pre", "test", 0.2)]
+    path = tmp_path / "r.jsonl"
+    write_records(records, path)
+    out = tmp_path / "report.csv"
+    assert main(["report", "--records", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: " + {
+        "two-datasets": f"{path}:3: second value for ece_15_pre at "
+                        "arch_index 0 (benchmark_dataset 'cifar100')",
+        "two-spaces": f"{path}:3: records mix search spaces 'tss' and 'sss'",
+        "missing-cell": f"{path}: column 'nll_pre' missing for arch(es) [1]",
+    }[case] + "\n"
+    assert not out.exists()
 
 
 def test_report_empty_records_exits_2(tmp_path, capsys):
@@ -720,9 +803,11 @@ def test_report_size_brackets(tmp_path, capsys):
     assert rc == 0
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
-    labels = [r[0] for r in rows[1:]]
+    assert rows[0] == REPORT_HEADER
+    assert {r[0] for r in rows[1:]} == {"ece_15_pre"}
+    labels = [r[1] for r in rows[1:]]
     assert labels and set(labels) <= {"<120", "[120,240)", ">=240"}
-    assert sum(int(r[1]) for r in rows[1:]) == 30
+    assert sum(int(r[2]) for r in rows[1:]) == 30
 
 
 def test_report_size_brackets_require_sss(tmp_path, logits_file, capsys):
@@ -756,7 +841,9 @@ def test_report_percent_scales_values(tmp_path, capsys):
         prow = list(csv.reader(fh))[1]
     with open(pct, newline="") as fh:
         qrow = list(csv.reader(fh))[1]
-    assert float(qrow[2]) == pytest.approx(100.0 * float(prow[2]), rel=1e-12)
+    assert qrow[:3] == prow[:3] and qrow[-1] == prow[-1]
+    for p, q in zip(prow[3:8], qrow[3:8]):  # median to whisker_hi
+        assert float(q) == pytest.approx(100.0 * float(p), rel=1e-12)
 
 
 def test_report_rerun_is_byte_identical(tmp_path):
