@@ -7,10 +7,10 @@ confidences, so heavy ties can leave some bins empty while their duplicates
 share a single bin.
 
 Every binned metric (ece, ece_em, mce, cwce, cwce_em, and lp_ce in
-``continuous``) comes from one kernel that works on score columns sorted
-once: bins are slices of a sorted column and their sums are differences of
-cumulative sums.  ``BinPartition``, ``assign_bins`` and ``bin_stats`` give
-the same bins one sample at a time.
+``continuous``) comes from one kernel that sorts the score columns a few
+at a time: bins are slices of a sorted column and their sums are
+differences of cumulative sums.  ``BinPartition``, ``assign_bins`` and
+``bin_stats`` give the same bins one sample at a time.
 """
 from __future__ import annotations
 
@@ -21,8 +21,9 @@ import numpy as np
 from .predictions import PredictionSet
 
 SCHEMES = ("width", "mass")
-# rows per step of the binned kernel's arithmetic: at the default bin
-# counts its temporaries then stay under 128 KB each
+# score columns the binned kernel sorts and bins per step: its buffer is
+# 8 x N floats (512 KB at N=8,000), and at the default bin counts its
+# other temporaries stay under 128 KB each
 _ROWS_PER_STEP = 8
 
 
@@ -177,43 +178,6 @@ def _top_label(preds: PredictionSet):
     return runs[order], (order >= n_miss).astype(np.float64)
 
 
-def _sorted_columns(preds: PredictionSet, top, classwise: bool):
-    """Score columns to bin, one per row, each sorted ascending.
-
-    Rows are the top-label confidences (if ``top``, the state of
-    ``_top_label``, is given) followed by the K class score columns (if
-    ``classwise``).  Alongside come the sorted scores of each row's hits,
-    laid end to end: the correctly predicted samples for the top-label
-    row, the samples labelled k for class column k.  Row j's hits are
-    ``hits[ends[j - 1]:ends[j]]`` (from 0 for the first row).
-    """
-    _require_probs(preds)
-    rows, hits, counts = [], [], []
-    if top is not None:
-        conf, correct = top
-        rows.append(conf[None, :])
-        hits.append(conf[correct == 1.0])
-        counts.append([hits[0].size])
-    if classwise:
-        rows.append(preds.scores.T)
-        labels = preds.labels
-        p_true = preds.scores[np.arange(preds.n_samples), labels]
-        # sorted by (label, score): sort the scores, then stable-sort by
-        # label, a radix sort once the labels fit in int16
-        order = np.argsort(p_true)
-        keys = labels[order]
-        if preds.n_classes <= np.iinfo(np.int16).max:
-            keys = keys.astype(np.int16)
-        hits.append(p_true[order[np.argsort(keys, kind="stable")]])
-        counts.append(np.bincount(labels, minlength=preds.n_classes))
-    # C order, so each row is contiguous: scores.T alone would make the
-    # concatenation column-major
-    cols = np.empty((sum(len(r) for r in rows), preds.n_samples))
-    np.concatenate(rows, out=cols)
-    cols.sort(axis=1)
-    return cols, np.concatenate(hits), np.cumsum(np.concatenate(counts))
-
-
 def _edge_layout(bin_counts, n: int):
     """The edges of every (bin count, scheme) block, as sources.
 
@@ -237,18 +201,20 @@ def _edge_layout(bin_counts, n: int):
     return widths, cuts, np.concatenate(parts)
 
 
-def _binned_errors(cols: np.ndarray, hits: np.ndarray, ends: np.ndarray,
-                   bin_counts, p: float = 1.0):
+def _binned_errors(preds: PredictionSet, top, classwise: bool, bin_counts,
+                   p: float = 1.0):
     """Binned calibration errors of every row, at every bin count and scheme.
 
-    ``cols`` holds one sorted score column per row and row j's hits (a
-    sub-multiset of row j, sorted) are ``hits[ends[j-1]:ends[j]]``, as
-    ``_sorted_columns`` returns them.  Each edge becomes a position, the
-    number of row values below it, so a bin ``[e_i, e_{i+1})`` is a slice
-    of the sorted row; the outer edges are -inf and +inf (positions 0 and
-    n), which closes the last bin at 1.  Bin counts, confidence sums and
-    hit counts are then differences of cumulative sums.  ``cols`` is
-    overwritten: its rows become those cumulative sums.
+    Rows are the top-label confidences (if ``top``, the state of
+    ``_top_label``, is given), then the K class score columns (if
+    ``classwise``).  Row j's hits, the correct samples for the top-label
+    row and those labelled k for column k, are sorted once for all rows.
+    The rows are sorted ``_ROWS_PER_STEP`` at a time in one small buffer.
+    Each edge becomes a position, the number of row values below it, so
+    a bin ``[e_i, e_{i+1})`` is a slice of a sorted row; the outer edges
+    are -inf and +inf (positions 0 and n), which closes the last bin at
+    1.  Bin counts, confidence sums and hit counts are then differences
+    of cumulative sums, the buffer's taken in place.
 
     The equal-width edges ``i/m`` are shared by every row; each distinct
     one is searched once per row.  An interior equal-mass edge is the
@@ -264,41 +230,69 @@ def _binned_errors(cols: np.ndarray, hits: np.ndarray, ends: np.ndarray,
     depend on that row alone, so a row gives the same bits whatever other
     rows or bin counts share the call.
     """
-    c, n = cols.shape
+    _require_probs(preds)
+    n = preds.n_samples
+    hits, hit_count = [], []
+    if top is not None:
+        hits.append(top[0][top[1] == 1.0])
+        hit_count.append([hits[0].size])
+    if classwise:
+        labels = preds.labels
+        p_true = preds.scores[np.arange(n), labels]
+        # sorted by (label, score): sort the scores, then stable-sort by
+        # label, a radix sort once the labels fit in int16
+        order = np.argsort(p_true)
+        keys = labels[order]
+        if preds.n_classes <= np.iinfo(np.int16).max:
+            keys = keys.astype(np.int16)
+        hits.append(p_true[order[np.argsort(keys, kind="stable")]])
+        hit_count.append(np.bincount(labels, minlength=preds.n_classes))
+    hits, hit_count = np.concatenate(hits), np.concatenate(hit_count)
+    ends = np.cumsum(hit_count)
+    head = 0 if top is None else 1  # the top-label row, if any, leads
+    c = head + (preds.n_classes if classwise else 0)
+
     widths, cuts, layout = _edge_layout(bin_counts, n)
     # per row, at [-inf, +inf, widths, cuts]: edge positions, hits below
     w_at = slice(2, 2 + widths.size)
     c_at = slice(2 + widths.size, None)
-    pos = np.empty((c, 2 + widths.size + cuts.size), dtype=np.intp)
-    hit_pos = np.empty_like(pos)
-    pos[:, 0] = hit_pos[:, 0] = 0
-    pos[:, 1] = n
-    hit_pos[:, 1] = np.diff(ends, prepend=0)
-    pos[:, c_at] = cuts
-    mass = cols[:, cuts]
-    tied = (cols[:, np.maximum(cuts - 1, 0)] == mass) & (cuts > 0)
-    for j in range(c):
-        row_hits = hits[ends[j] - hit_pos[j, 1]:ends[j]]
-        pos[j, w_at] = np.searchsorted(cols[j], widths)
-        hit_pos[j, w_at] = np.searchsorted(row_hits, widths)
-        hit_pos[j, c_at] = np.searchsorted(row_hits, mass[j])
-        if tied[j].any():
-            pos[j, c_at][tied[j]] = np.searchsorted(cols[j],
-                                                    mass[j, tied[j]])
-    # in place, cols[j, q - 1] becomes the sum of row j's first q values
-    np.cumsum(cols, axis=1, out=cols)
-    conf_at = np.take(cols, pos - 1 + n * np.arange(c)[:, None])
-    conf_at[pos == 0] = 0.0
-
-    # every bin of every block at once, a few rows at a time so that the
-    # temporaries stay small; the differences across a block boundary (a
-    # +inf edge, then the next -inf one) are never read.  np.take keeps
-    # the rows C-ordered, as the per-block sums need
+    buf = np.empty((min(c, _ROWS_PER_STEP), n))
     out = {(scheme, m): (np.empty(c), np.empty(c))
            for m in bin_counts for scheme in SCHEMES}
     for first in range(0, c, _ROWS_PER_STEP):
-        rows = slice(first, first + _ROWS_PER_STEP)
-        at, hits_at, conf = (np.take(a[rows], layout, axis=1)
+        rows = slice(first, min(first + _ROWS_PER_STEP, c))
+        cols = buf[:rows.stop - first]
+        lead = head if first == 0 else 0
+        if lead:
+            cols[0] = top[0]
+        cols[lead:] = preds.scores[:, first + lead - head:rows.stop - head].T
+        cols.sort(axis=1)
+        pos = np.empty((len(cols), 2 + widths.size + cuts.size),
+                       dtype=np.intp)
+        hit_pos = np.empty_like(pos)
+        pos[:, 0] = hit_pos[:, 0] = 0
+        pos[:, 1] = n
+        hit_pos[:, 1] = hit_count[rows]
+        pos[:, c_at] = cuts
+        mass = cols[:, cuts]
+        tied = (cols[:, np.maximum(cuts - 1, 0)] == mass) & (cuts > 0)
+        for j, end in enumerate(ends[rows]):
+            row_hits = hits[end - hit_pos[j, 1]:end]
+            pos[j, w_at] = np.searchsorted(cols[j], widths)
+            hit_pos[j, w_at] = np.searchsorted(row_hits, widths)
+            hit_pos[j, c_at] = np.searchsorted(row_hits, mass[j])
+            if tied[j].any():
+                pos[j, c_at][tied[j]] = np.searchsorted(cols[j],
+                                                        mass[j, tied[j]])
+        # in place, cols[j, q - 1] becomes the sum of row j's first q values
+        np.cumsum(cols, axis=1, out=cols)
+        conf_at = np.take(cols, pos - 1 + n * np.arange(len(cols))[:, None])
+        conf_at[pos == 0] = 0.0
+
+        # every bin of every block at once; the differences across a block
+        # boundary (a +inf edge, then the next -inf one) are never read.
+        # np.take keeps the rows C-ordered, as the per-block sums need
+        at, hits_at, conf = (np.take(a, layout, axis=1)
                              for a in (pos, hit_pos, conf_at))
         counts = at[:, 1:] - at[:, :-1]
         hit_diff = hits_at[:, 1:] - hits_at[:, :-1]
@@ -328,8 +322,7 @@ def _binned(preds: PredictionSet, bins: int, scheme: str, classwise: bool,
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     top = None if classwise else _top_label(preds)
-    errors = _binned_errors(*_sorted_columns(preds, top, classwise), (bins,),
-                            p)
+    errors = _binned_errors(preds, top, classwise, (bins,), p)
     return float(np.mean(errors[scheme, bins][statistic]))
 
 
@@ -348,8 +341,7 @@ def _binned_metrics(preds: PredictionSet, top, bin_counts) -> dict:
     """
     if not bin_counts:
         return {}
-    errors = _binned_errors(*_sorted_columns(preds, top, True),
-                            tuple(bin_counts))
+    errors = _binned_errors(preds, top, True, tuple(bin_counts))
     # row 0 is the top-label row, the K class columns follow
     rows = {False: slice(0, 1), True: slice(1, None)}
     return {(name, m): float(np.mean(errors[scheme, m][statistic][rows[cw]]))

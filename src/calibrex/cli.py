@@ -165,10 +165,12 @@ def cmd_enumerate(args) -> int:
 
 
 def _bracket_labels(edges) -> list:
-    labels = [f"<{edges[0]:g}"]
-    for lo, hi in zip(edges, edges[1:]):
-        labels.append(f"[{lo:g},{hi:g})")
-    labels.append(f">={edges[-1]:g}")
+    # the shortest text that reads back as the edge: 120.0 reads "120"
+    text = [repr(e).removesuffix(".0") for e in edges]
+    labels = [f"<{text[0]}"]
+    for lo, hi in zip(text, text[1:]):
+        labels.append(f"[{lo},{hi})")
+    labels.append(f">={text[-1]}")
     return labels
 
 

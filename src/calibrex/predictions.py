@@ -72,7 +72,11 @@ class PredictionSet:
 
     def predicted_class(self) -> np.ndarray:
         """Argmax class per sample; ties resolve to the smallest class index."""
-        return np.argmax(self.scores, axis=1)
+        # np.argmax copies a read-only input whole: blocks of 2**16 scores
+        # keep that copy at 512 KiB
+        step = max(1, 2**16 // self.n_classes)
+        return np.concatenate([np.argmax(self.scores[i:i + step], axis=1)
+                               for i in range(0, self.n_samples, step)])
 
     def correctness(self) -> np.ndarray:
         """Float 0/1 vector marking samples whose argmax equals the label."""

@@ -170,8 +170,8 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
     frees a caller's temporary), the fitting part after the fit, the raw
     probabilities after the pre stage (only its top-label confidences stay,
     for AUROC), the test logits once the temperature is applied.  At peak
-    that leaves the test logits, one stage's probabilities and its sorted
-    columns, plus the binned kernel's temporaries.
+    that leaves the test logits and one stage's probabilities, plus
+    temporaries of a few rows or columns each.
     """
     if config is None:
         config = SuiteConfig()

@@ -373,6 +373,11 @@ def kernel_cases():
     yield "n<m-dups", PredictionSet([[0.9, 0.1], [0.9, 0.1], [0.2, 0.8],
                                      [0.2, 0.8], [0.9, 0.1]],
                                     [0, 1, 1, 1, 0], is_probabilities=True)
+    # the kernel bins _ROWS_PER_STEP = 8 rows at a time: these split their
+    # rows across steps on the suite route (K + 1 rows: 8, 9 and 18) and
+    # the public cwce one (K rows: 7, 8 and 17)
+    for k in (7, 8, 17):
+        yield f"k={k}", random_prob_preds(rng, 400, k)
 
 
 @pytest.mark.parametrize("name,preds", list(kernel_cases()))

@@ -810,6 +810,22 @@ def test_report_size_brackets(tmp_path, capsys):
     assert sum(int(r[2]) for r in rows[1:]) == 30
 
 
+def test_report_bracket_labels_tell_close_edges_apart(tmp_path, capsys):
+    # six significant digits once labelled the middle bracket [1e+06,1e+06)
+    assert cli._bracket_labels([1000000.0, 1000000.4]) == [
+        "<1000000", "[1000000,1000000.4)", ">=1000000.4"]
+    assert cli._bracket_labels([120.0, 120.5, 240.0]) == [
+        "<120", "[120,120.5)", "[120.5,240)", ">=240"]
+    out = str(tmp_path / "report.csv")
+    rc = main(["report", "--records", sss_records(tmp_path),
+               "--brackets", "1000000,1000000.4", "--out", out])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    # every sss model size lies below the first edge
+    assert [r[1:3] for r in rows[1:]] == [["<1000000", "30"]]
+
+
 def test_report_size_brackets_require_sss(tmp_path, logits_file, capsys):
     records = str(tmp_path / "r.jsonl")
     assert main(["eval", "--logits", logits_file, "--out", records]) == 0
