@@ -239,8 +239,8 @@ def hcs(accuracy, ece, beta: float = 1.0):
         raise ValueError(f"beta must be a finite number > 0, got {beta!r}")
     acc = np.asarray(accuracy, dtype=np.float64)
     q = 1.0 - np.asarray(ece, dtype=np.float64)
-    if np.any(acc < 0) or np.any(acc > 1) or np.any(q < 0) or np.any(q > 1):
-        raise ValueError("accuracy and ece must lie in [0, 1]")
+    if not (np.all((0 <= acc) & (acc <= 1)) and np.all((0 <= q) & (q <= 1))):
+        raise ValueError("accuracy and ece must lie in [0, 1]")  # NaN fails
     num = (1.0 + beta) * acc * q
     den = beta * acc + q
     out = np.where(den > 0.0, num / np.maximum(den, 1e-300), 0.0)
@@ -264,6 +264,8 @@ def boxplot_stats(values) -> BoxplotStats:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("need a non-empty 1-D array")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
     q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
     iqr = q3 - q1
     lo_lim, hi_lim = q1 - 1.5 * iqr, q3 + 1.5 * iqr

@@ -44,6 +44,11 @@ class TabularBenchmark:
             raise ValueError(f"bad space {self.space!r}")
         self.metrics = MetricTable(range(len(self.archs)),
                                    self.metrics).columns
+        for name, col in self.metrics.items():
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:
+                raise ValueError(f"metric {name!r} is not finite for "
+                                 f"architecture {self.archs[bad[0]]!r}")
         self._row = {a: i for i, a in enumerate(self.archs)}
         if len(self._row) != len(self.archs):
             raise ValueError("an architecture is listed twice")

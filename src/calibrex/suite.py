@@ -12,12 +12,13 @@ import functools
 import io
 import json
 import math
+import operator
 import os
 import re
 import tempfile
 from dataclasses import dataclass, field, fields
-from typing import (Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -50,6 +51,11 @@ class MeasurementRecord:
 
     def __post_init__(self):
         check_record(vars(self))
+        # numpy scalars pass the check; keep the types json writes
+        for name, kind in _PLAIN_TYPES:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, kind(value))
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -57,6 +63,8 @@ class MeasurementRecord:
 
 _RECORD_FIELDS = frozenset(f.name for f in fields(MeasurementRecord))
 _REQUIRED_FIELDS = _RECORD_FIELDS - {"temperature"}
+_PLAIN_TYPES = (("arch_index", int), ("bin_count", int), ("value", float),
+                ("temperature", float))
 
 
 def _is_int(x) -> bool:
@@ -301,36 +309,6 @@ def metric_key(record) -> str:
     return f"{record['metric']}{mid}_{record['stage']}"
 
 
-class RecordKind(NamedTuple):
-    """The fields that say which cell a record fills, but for the
-    architecture and the dataset."""
-
-    bin_count: Optional[int]
-    metric: str
-    search_space: str
-    split: str
-    stage: str
-
-
-@dataclass(frozen=True, eq=False)
-class RecordBlock:
-    """The records of consecutive lines of one file, as columns.
-
-    Row i is the record on line ``line[i]``; its dataset is
-    ``datasets[dataset[i]]`` and its other fields ``kinds[kind[i]]``.
-    Every block of one read shares these two lists, which grow as the read
-    meets new values.  Temperatures are checked but not kept.
-    """
-
-    line: np.ndarray        # int64
-    arch_index: np.ndarray  # int64
-    value: np.ndarray       # float64
-    dataset: np.ndarray     # int32
-    kind: np.ndarray        # int32
-    datasets: List[str]
-    kinds: List[RecordKind]
-
-
 # about this many bytes of whole lines make one block
 BLOCK_BYTES = 1 << 20
 
@@ -360,52 +338,50 @@ def _canonical_line():
         rb'),"value":(' + real + rb')\}$', re.M)
 
 
-class _Codes(list):
-    """Distinct values in order of first sight."""
-
-    def __init__(self):
-        super().__init__()
-        self._index = {}
-
-    def code(self, value) -> int:
-        """The value's index, appending a value not seen before."""
-        i = self._index.setdefault(value, len(self))
-        if i == len(self):
-            self.append(value)
-        return i
+# the fields that say which cell a record fills, but for the architecture
+# and the dataset: how the line route spells a kind
+_kind_fields = operator.itemgetter("bin_count", "metric", "search_space",
+                                   "split", "stage")
+# a block's columns: line, arch_index, value, and the dataset and kind codes
+_BLOCK_DTYPES = (np.int64, np.int64, np.float64, np.int32, np.int32)
 
 
 class _Read:
-    """The datasets and kinds one read has met, and the canonical spans
-    that spell them, each decoded and checked once."""
+    """The datasets and kinds one read has met, as insertion-ordered
+    ``value -> code`` dicts.
 
-    def __init__(self):
-        self.datasets, self.kinds = _Codes(), _Codes()
+    A kind is what the pivot needs of a record: (is it sss, is it test,
+    its column), where ``column(fields)`` numbers the record's cell, or
+    gives -1 for a cell not kept.  ``dataset_of`` and ``kind_of`` code
+    each spelling met -- a canonical span, or on the line route the
+    ``_kind_fields`` -- so each is resolved once.
+    """
+
+    def __init__(self, column: Callable[[dict], int]):
+        self.column = column
+        self.datasets: Dict[str, int] = {}
+        self.kinds: Dict[Tuple[bool, bool, int], int] = {}
         self.dataset_of: Dict[bytes, int] = {}
-        self.kind_of: Dict[bytes, int] = {}
+        self.kind_of: Dict[object, int] = {}
 
-    def add_dataset(self, span: bytes) -> bool:
-        try:
-            self.dataset_of[span] = self.datasets.code(span.decode())
-        except UnicodeDecodeError:
-            return False
-        return True
+    def dataset(self, name: str) -> int:
+        return self.datasets.setdefault(name, len(self.datasets))
 
-    def add_kind(self, span: bytes) -> bool:
-        try:
-            fields = _DECODER.decode("{" + span.decode() + "}")
-            check_record({**fields, "benchmark_dataset": "",
-                          "arch_index": 0, "value": 0.0})
-        except (TypeError, ValueError):
-            return False
-        self.kind_of[span] = self.kinds.code(RecordKind(**fields))
-        return True
+    def kind(self, spelling, fields: dict) -> int:
+        code = self.kind_of.get(spelling)
+        if code is None:
+            kind = (fields["search_space"] == "sss",
+                    fields["split"] == "test", self.column(fields))
+            code = self.kind_of[spelling] = \
+                self.kinds.setdefault(kind, len(self.kinds))
+        return code
 
 
 def _fast_block(data: bytes, n: int, first: int,
-                read: _Read) -> Optional[RecordBlock]:
+                read: _Read) -> Optional[tuple]:
     """The block's ``n`` lines as columns, or None unless every line is
-    canonical and passes ``check_record``."""
+    canonical and passes ``check_record``.  Temperatures are checked but
+    not kept."""
     found = _canonical_line().findall(data)
     if len(found) != n:
         return None
@@ -416,20 +392,25 @@ def _fast_block(data: bytes, n: int, first: int,
     for temp in set(temps).difference((b"null",)):
         if not 0.0 < float(temp) < math.inf:
             return None
-    if not (all(map(read.add_dataset,
-                    set(datasets).difference(read.dataset_of)))
-            and all(map(read.add_kind, set(kinds).difference(read.kind_of)))):
+    try:  # the spans not met before; UnicodeDecodeError is a ValueError
+        for span in set(datasets).difference(read.dataset_of):
+            read.dataset_of[span] = read.dataset(span.decode())
+        for span in set(kinds).difference(read.kind_of):
+            fields = _DECODER.decode("{" + span.decode() + "}")
+            check_record({**fields, "benchmark_dataset": "",
+                          "arch_index": 0, "value": 0.0})
+            read.kind(span, fields)
+    except (TypeError, ValueError):
         return None
-    return RecordBlock(
-        np.arange(first, first + n),
-        np.fromiter(map(int, archs), np.int64, n), value,
-        np.fromiter(map(read.dataset_of.__getitem__, datasets), np.int32, n),
-        np.fromiter(map(read.kind_of.__getitem__, kinds), np.int32, n),
-        read.datasets, read.kinds)
+    return (np.arange(first, first + n),
+            np.fromiter(map(int, archs), np.int64, n), value,
+            np.fromiter(map(read.dataset_of.__getitem__, datasets),
+                        np.int32, n),
+            np.fromiter(map(read.kind_of.__getitem__, kinds), np.int32, n))
 
 
 def _line_blocks(path, data: bytes, first: int,
-                 read: _Read) -> Iterator[RecordBlock]:
+                 read: _Read) -> Iterator[tuple]:
     """The block's records read line by line; at the first bad line, the
     records before it, then ValueError naming that line."""
     rows, error = [], None
@@ -440,34 +421,28 @@ def _line_blocks(path, data: bytes, first: int,
             error = ValueError(f"{path}:{lineno}: bad record: {exc}")
             break
         if rec is not None:
-            kind = RecordKind(*(rec[f] for f in RecordKind._fields))
             rows.append((lineno, rec["arch_index"], float(rec["value"]),
-                         read.datasets.code(rec["benchmark_dataset"]),
-                         read.kinds.code(kind)))
+                         read.dataset(rec["benchmark_dataset"]),
+                         read.kind(_kind_fields(rec), rec)))
     if rows:
-        line, arch, value, dataset, kind = zip(*rows)
-        yield RecordBlock(np.array(line, dtype=np.int64),
-                          np.array(arch, dtype=np.int64),
-                          np.array(value, dtype=np.float64),
-                          np.array(dataset, dtype=np.int32),
-                          np.array(kind, dtype=np.int32),
-                          read.datasets, read.kinds)
+        yield tuple(map(np.array, zip(*rows), _BLOCK_DTYPES))
     if error is not None:
         raise error
 
 
-def _read_blocks(path) -> Iterator[RecordBlock]:
+def _read_blocks(path, read: _Read) -> Iterator[tuple]:
     """Stream a records JSONL file as blocks of about ``BLOCK_BYTES`` of
-    whole lines.
+    whole lines, each as the ``_BLOCK_DTYPES`` columns, coding datasets
+    and kinds in ``read``.
 
     A block whose every line has the form ``write_records`` writes is
     matched by one pattern and checked on its columns.  Any other block
     is read line by line as ``iter_records`` reads: blank lines are
     skipped and the first bad line raises ValueError naming ``path:line``,
     after the block of the good lines before it.  Both routes accept the
-    same lines into the same columns.
+    same lines into the same columns and codes.
     """
-    read, first = _Read(), 1
+    first = 1
     with open(path, "rb") as fh:
         while True:
             data = fh.read(BLOCK_BYTES)
@@ -493,7 +468,8 @@ def read_records(path, keys: Optional[Sequence[str]] = None
     """The one pivot from a records file to cells: (search space,
     MetricTable).
 
-    The file is read with ``_read_blocks``; only the test split is
+    The file is read with ``_read_blocks``, which resolves each kind once
+    to its search space, its split and its column; only the test split is
     pivoted.  Rows are the ``arch_index`` values in ascending order,
     columns the ``metric_key`` names, only those in ``keys`` when given;
     only those cells and the test ``arch_index`` values are kept while
@@ -504,37 +480,28 @@ def read_records(path, keys: Optional[Sequence[str]] = None
     raised.
     """
     names: Dict[str, int] = {}
-    # of each kind met, in read order: is it sss, is it test, and its
-    # column number, or -1 for a cell not kept
-    per_kind: List[Tuple[bool, bool, int]] = []
 
-    def kind_columns(block):
-        for kind in block.kinds[len(per_kind):]:
-            name, test = metric_key(kind._asdict()), kind.split == "test"
-            col = names.setdefault(name, len(names)) \
-                if test and (keys is None or name in keys) else -1
-            per_kind.append((kind.search_space == "sss", test, col))
-        rows = np.array(per_kind, dtype=np.int32)[block.kind]
-        return rows[:, 0] == 1, rows[:, 1] == 1, rows[:, 2]
+    def column(fields):
+        name = metric_key(fields)
+        kept = fields["split"] == "test" and (keys is None or name in keys)
+        return names.setdefault(name, len(names)) if kept else -1
 
-    space, datasets, archs, cells = None, [], [], []
+    read = _Read(column)
+    space, archs, cells = None, [], []
     try:
-        for block in _read_blocks(path):
-            datasets = block.datasets
-            sss, test, key = kind_columns(block)
+        for line, arch, value, dataset, kind in _read_blocks(path, read):
+            sss, test, key = np.array(list(read.kinds), np.int32)[kind].T
             if space is None:
                 space = bool(sss[0])
             other = np.flatnonzero(sss != space)
             stop = other[0] if other.size else sss.size
-            archs.append(np.unique(block.arch_index[:stop][test[:stop]]))
+            archs.append(np.unique(arch[:stop][test[:stop] == 1]))
             want = np.flatnonzero(key[:stop] >= 0)
-            cells.append((key[want], block.arch_index[want],
-                          block.value[want], block.line[want],
-                          block.dataset[want]))
+            cells.append((key[want], arch[want], value[want], line[want],
+                          dataset[want]))
             if other.size:
-                line = block.line[other[0]]
-                raise PivotError(f"{path}:{line}: records mix search spaces "
-                                 f"{_SPACES[space]!r} and "
+                raise PivotError(f"{path}:{line[other[0]]}: records mix "
+                                 f"search spaces {_SPACES[space]!r} and "
                                  f"{_SPACES[not space]!r}")
         error = None
     except ValueError as exc:  # a bad line or a second space
@@ -550,7 +517,7 @@ def read_records(path, keys: Optional[Sequence[str]] = None
         name = next(n for n, k in names.items() if k == key[i])
         raise PivotError(f"{path}:{line[i]}: second value for {name} at "
                          f"arch_index {arch[i]} (benchmark_dataset "
-                         f"{datasets[dataset[i]]!r})")
+                         f"{list(read.datasets)[dataset[i]]!r})")
     if error is not None:
         raise error
     rows = np.unique(np.concatenate(archs or [arch]))

@@ -415,6 +415,15 @@ def test_hcs_degenerate_and_validation():
         hcs(0.9, 0.1, beta=0.0)
 
 
+@pytest.mark.parametrize("acc, e", [
+    (math.nan, 0.1), (0.9, math.nan),
+    (np.array([0.9, math.nan]), np.array([0.1, 0.2]))])
+def test_hcs_rejects_nan(acc, e):
+    # a NaN once failed none of the range tests and scored 0.0
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        hcs(acc, e)
+
+
 @pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
 def test_hcs_rejects_a_beta_that_is_not_finite(beta):
     # an infinite beta once gave NaN for every score
@@ -444,6 +453,13 @@ def test_boxplot_stats_validation():
         boxplot_stats([])
     with pytest.raises(ValueError, match="1-D"):
         boxplot_stats(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_boxplot_stats_rejects_values_that_are_not_finite(bad):
+    # a NaN once surfaced as numpy's zero-size reduction error
+    with pytest.raises(ValueError, match="^values must be finite$"):
+        boxplot_stats([1.0, bad, 2.0])
 
 
 def test_size_brackets():

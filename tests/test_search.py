@@ -71,6 +71,15 @@ def test_tabular_benchmark_validation():
     assert bench.query("b") == {"ece": 0.2}
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tabular_benchmark_rejects_a_value_that_is_not_finite(bad):
+    # a NaN column once let random_search return best_arch None
+    metrics = {"accuracy": [0.5, 0.6, 0.7], "ece": [0.1, bad, 0.2]}
+    with pytest.raises(ValueError, match="^metric 'ece' is not finite for "
+                       "architecture 'b'$"):
+        TabularBenchmark("tss", metrics, ["a", "b", "c"])
+
+
 def test_make_objective():
     m = {"accuracy": 0.9, "ece": 0.2}
     assert make_objective("acc")(m) == 0.9

@@ -352,6 +352,31 @@ def test_record_check_accepts_numpy_integers_and_ints():
     assert rec.arch_index == 3
 
 
+def test_records_of_numpy_scalars_write_as_their_plain_twins(tmp_path):
+    # json.dumps once raised on np.int64 and np.float32 fields
+    rec = MeasurementRecord(**{**GOOD_RECORD, "arch_index": np.int64(7),
+                               "bin_count": np.int32(5),
+                               "value": np.float32(0.1),
+                               "temperature": np.float32(1.5)})
+    twin = MeasurementRecord(**{**GOOD_RECORD, "arch_index": 7,
+                                "bin_count": 5,
+                                "value": float(np.float32(0.1)),
+                                "temperature": 1.5})
+    assert [type(v) for v in rec.to_dict().values()] == \
+        [type(v) for v in twin.to_dict().values()]
+
+    def written(records, name):
+        write_records(records, tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    assert written([rec], "r") == written([twin], "t")
+    preds = PredictionSet(np.random.default_rng(0).normal(size=(40, 3)),
+                          np.arange(40) % 3)
+    tagged = [run_suite(preds, SuiteConfig(arch_index=a))
+              for a in (np.int64(7), 7)]
+    assert written(tagged[0], "a") == written(tagged[1], "b")
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"search_space": "tss"}', "missing fields"),
     (json.dumps({**GOOD_RECORD, "extra": 1}), "unknown fields"),
