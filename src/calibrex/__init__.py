@@ -7,9 +7,7 @@ from .analysis import (BoxplotStats, MetricTable, boxplot_stats,
 from .archspace import (SssArch, TssArch, canonical_fingerprint,
                         enumerate_sss, enumerate_tss, model_size, parse_arch,
                         parse_sss, parse_tss)
-from .binning import (BinPartition, BinStats, ReliabilityDiagram,
-                      assign_bins, bin_stats, cwce, cwce_em, ece, ece_em,
-                      equal_mass_edges, mce, reliability_data)
+from .binning import cwce, cwce_em, ece, ece_em, mce
 from .continuous import (auroc, brier, kdece, ksce, lp_ce, mmce, nll,
                          silverman_bandwidth)
 from .predictions import (LogitsFileError, PredictionSet, SplitSpec,

@@ -17,9 +17,18 @@ import numpy as np
 from .predictions import read_header, read_rows
 
 
+class NotFiniteError(ValueError):
+    """A MetricTable cell that is NaN or infinite."""
+
+    def __init__(self, column: str, arch_index: int):
+        super().__init__(f"column {column!r} is not finite at arch_index "
+                         f"{arch_index}")
+        self.column, self.arch_index = column, arch_index
+
+
 @dataclass
 class MetricTable:
-    """Rectangular table: one row per arch_index, named real-valued
+    """Rectangular table: one row per arch_index, named finite real-valued
     columns."""
 
     arch_index: np.ndarray
@@ -38,6 +47,9 @@ class MetricTable:
             if v.shape != (n,):
                 raise ValueError(f"column {name!r} has shape {v.shape}, "
                                  f"expected ({n},)")
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                raise NotFiniteError(name, int(self.arch_index[bad[0]]))
             cols[name] = v
         self.columns = cols
 
@@ -286,8 +298,10 @@ def size_brackets(sizes, edges: Sequence[float]) -> np.ndarray:
             or np.any(np.diff(e) <= 0):
         raise ValueError("edges must be finite, strictly increasing and "
                          "non-empty")
-    return np.searchsorted(e, np.asarray(sizes, dtype=np.float64),
-                           side="right")
+    s = np.asarray(sizes, dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("sizes must be finite")
+    return np.searchsorted(e, s, side="right")
 
 
 def read_table_csv(path) -> MetricTable:

@@ -9,12 +9,9 @@ share a single bin.
 Every binned metric (ece, ece_em, mce, cwce, cwce_em, and lp_ce in
 ``continuous``) comes from one kernel that sorts the score columns a few
 at a time: bins are slices of a sorted column and their sums are
-differences of cumulative sums.  ``BinPartition``, ``assign_bins`` and
-``bin_stats`` give the same bins one sample at a time.
+differences of cumulative sums.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,132 +24,15 @@ SCHEMES = ("width", "mass")
 _ROWS_PER_STEP = 8
 
 
-@dataclass(frozen=True)
-class BinPartition:
-    """A partition of [0, 1] into m bins defined by m+1 edges."""
-
-    scheme: str
-    edges: np.ndarray
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        edges = np.array(self.edges, dtype=np.float64, copy=True)
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValueError("edges must be a 1-D array of at least 2 values")
-        if edges[0] != 0.0 or edges[-1] != 1.0:
-            raise ValueError("edges must start at 0 and end at 1")
-        if np.any(np.diff(edges) < 0):
-            raise ValueError("edges must be non-decreasing")
-        edges.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
-
-    @property
-    def m(self) -> int:
-        return self.edges.size - 1
-
-    @classmethod
-    def equal_width(cls, m: int) -> "BinPartition":
-        _check_m(m)
-        return cls("width", np.arange(m + 1, dtype=np.float64) / m)
-
-    @classmethod
-    def equal_mass(cls, confidences, m: int) -> "BinPartition":
-        return cls("mass", equal_mass_edges(confidences, m))
-
-
 def _check_m(m: int) -> None:
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"bin count must be a positive integer, got {m!r}")
-
-
-def _check_conf(confidences) -> np.ndarray:
-    c = np.asarray(confidences, dtype=np.float64)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("confidences must be a non-empty 1-D array")
-    if not np.all(np.isfinite(c)) or c.min() < 0.0 or c.max() > 1.0:
-        raise ValueError("confidences must lie in [0, 1]")
-    return c
-
-
-def equal_mass_edges(confidences, m: int) -> np.ndarray:
-    """Interior edges at order statistics ``x_(i*n//m)`` of the confidences.
-
-    With distinct values the resulting bin occupancies differ by at most one;
-    duplicated values collapse onto shared edges and occupy a single bin.
-    """
-    _check_m(m)
-    c = np.sort(_check_conf(confidences))
-    n = c.size
-    cuts = (np.arange(1, m) * n) // m
-    return np.concatenate(([0.0], c[cuts], [1.0]))
-
-
-def assign_bins(confidences, partition: BinPartition) -> np.ndarray:
-    """Map each confidence to its bin index under the half-open rule."""
-    c = _check_conf(confidences)
-    idx = np.searchsorted(partition.edges, c, side="right") - 1
-    return np.minimum(idx, partition.m - 1)
-
-
-@dataclass(frozen=True)
-class BinStats:
-    """Per-bin sample counts and conditional means (NaN where empty)."""
-
-    counts: np.ndarray
-    mean_confidence: np.ndarray
-    mean_accuracy: np.ndarray
-
-
-def bin_stats(confidences, correctness, partition: BinPartition) -> BinStats:
-    c = _check_conf(confidences)
-    a = np.asarray(correctness, dtype=np.float64)
-    if a.shape != c.shape:
-        raise ValueError("correctness must match confidences in shape")
-    idx = assign_bins(c, partition)
-    m = partition.m
-    counts = np.bincount(idx, minlength=m)
-    with np.errstate(invalid="ignore"):
-        mean_c = np.bincount(idx, weights=c, minlength=m) / counts
-        mean_a = np.bincount(idx, weights=a, minlength=m) / counts
-    return BinStats(counts, mean_c, mean_a)
-
-
-@dataclass(frozen=True)
-class ReliabilityDiagram:
-    """Reliability table: one row per bin with count, means, and gap."""
-
-    partition: BinPartition
-    counts: np.ndarray
-    mean_confidence: np.ndarray
-    mean_accuracy: np.ndarray
-    gap: np.ndarray
-
-
-def _partition_for(preds_conf, m: int, scheme: str) -> BinPartition:
-    if scheme == "width":
-        return BinPartition.equal_width(m)
-    if scheme == "mass":
-        return BinPartition.equal_mass(preds_conf, m)
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def _require_probs(preds: PredictionSet) -> None:
     if not preds.is_probabilities:
         raise ValueError("expected a probability PredictionSet; "
                          "convert logits with as_probabilities() first")
-
-
-def reliability_data(preds: PredictionSet, bins: int,
-                     scheme: str = "width") -> ReliabilityDiagram:
-    """Reliability diagram data for the top-label confidences."""
-    _require_probs(preds)
-    conf = preds.top_confidence()
-    part = _partition_for(conf, bins, scheme)
-    stats = bin_stats(conf, preds.correctness(), part)
-    gap = stats.mean_accuracy - stats.mean_confidence
-    return ReliabilityDiagram(part, stats.counts, stats.mean_confidence,
-                              stats.mean_accuracy, gap)
 
 
 def _top_label(preds: PredictionSet):

@@ -67,9 +67,14 @@ def mmce(preds: PredictionSet, bandwidth: float = MMCE_BANDWIDTH) -> float:
     clamped at 0 before the root.
     """
     _require_probs(preds)
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
+    _check_bandwidth(bandwidth)
     return _mmce(*_top_label(preds), bandwidth)
+
+
+def _check_bandwidth(bandwidth: float) -> None:
+    if not (bandwidth > 0 and np.isfinite(bandwidth)):
+        raise ValueError(f"bandwidth must be a finite number > 0, got "
+                         f"{bandwidth!r}")
 
 
 def _mmce(conf: np.ndarray, correct: np.ndarray,
@@ -121,8 +126,8 @@ def kdece(preds: PredictionSet, bandwidth: Optional[float] = None,
     linear in N + grid.
     """
     _require_probs(preds)
-    if bandwidth is not None and not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
+    if bandwidth is not None:
+        _check_bandwidth(bandwidth)
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     return _kdece(*_top_label(preds), bandwidth, grid)

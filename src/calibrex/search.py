@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .analysis import MetricTable, hcs
+from .analysis import MetricTable, NotFiniteError, hcs
 from .archspace import (SSS_CHANNELS, TSS_OPS, SssArch, TssArch,
                         enumerate_sss, enumerate_tss, parse_arch, sss_string,
                         tss_string)
@@ -42,13 +42,13 @@ class TabularBenchmark:
     def __post_init__(self):
         if self.space not in ("tss", "sss"):
             raise ValueError(f"bad space {self.space!r}")
-        self.metrics = MetricTable(range(len(self.archs)),
-                                   self.metrics).columns
-        for name, col in self.metrics.items():
-            bad = np.flatnonzero(~np.isfinite(col))
-            if bad.size:
-                raise ValueError(f"metric {name!r} is not finite for "
-                                 f"architecture {self.archs[bad[0]]!r}")
+        try:
+            self.metrics = MetricTable(range(len(self.archs)),
+                                       self.metrics).columns
+        except NotFiniteError as exc:
+            raise ValueError(f"metric {exc.column!r} is not finite for "
+                             f"architecture {self.archs[exc.arch_index]!r}"
+                             ) from None
         self._row = {a: i for i, a in enumerate(self.archs)}
         if len(self._row) != len(self.archs):
             raise ValueError("an architecture is listed twice")

@@ -349,12 +349,20 @@ def test_criterion_5_invariants():
             bad.append(f"{case}: kdece on perfect predictor")
 
         distinct = rng.permutation(np.linspace(0.02, 0.98, n))
-        from calibrex import BinPartition, assign_bins
-        counts = np.bincount(
-            assign_bins(distinct, BinPartition.equal_mass(distinct, m)),
-            minlength=m)
+        edges = _ref_edges("mass", distinct, m)
+        counts = np.bincount([_ref_bin(c, edges) for c in distinct],
+                             minlength=m)
         if counts.max() - counts.min() > 1:
             bad.append(f"{case}: equal-mass occupancy spread")
+        # the same distinct values as top-label confidences in (0.5, 1)
+        halves = PredictionSet(np.stack([(1 + distinct) / 2,
+                                         (1 - distinct) / 2], axis=1),
+                               labels % 2, is_probabilities=True)
+        conf = halves.top_confidence()
+        if not _close(ece_em(halves, m),
+                      _ref_gap(conf, halves.correctness(),
+                               _ref_edges("mass", conf, m), "mean")):
+            bad.append(f"{case}: ece_em off the equal-mass partition")
 
         tripled = PredictionSet(np.tile(preds.scores, (3, 1)),
                                 np.tile(labels, 3), is_probabilities=True)

@@ -171,11 +171,11 @@ def test_correlation_matrix_entries_equal_pairwise_kendall_tau():
 # the rows of the tau-b matrix on a thread pool
 # ---------------------------------------------------------------------------
 
-def mixed_table():
+def mixed_columns():
     """Tied, tie-free, binary, constant and NaN columns, a tied one first
-    so that the tied branch runs inside a worker.  At 16,000 rows a batch
-    holds 10 to 32 columns by worker count, so each worker counts several
-    batches."""
+    (by name) so that the tied branch runs inside a worker.  At 16,000
+    rows a batch holds 10 to 32 columns by worker count, so each worker
+    counts several batches."""
     rng = np.random.default_rng(8)
     n = 16_000
     base = rng.normal(size=n)
@@ -187,11 +187,22 @@ def mixed_table():
         cols[f"c{j}_binary"] = (noisy > 0.2 * j).astype(float)
     cols["d_flat"] = np.full(n, 0.5)
     cols["e_nan"] = np.where(np.arange(n) == 7, np.nan, base)
-    return MetricTable(np.arange(n), cols)
+    return cols
+
+
+def mixed_table():
+    """The finite columns of ``mixed_columns``: a table holds no NaN."""
+    cols = mixed_columns()
+    del cols["e_nan"]
+    return MetricTable(np.arange(16_000), cols)
 
 
 def test_correlation_matrix_bits_do_not_depend_on_the_thread_count(
         monkeypatch):
+    # the NaN column reaches _tau_b on plain arrays, as through
+    # kendall_tau; the table's matrix is the finite columns' block of it
+    cols = mixed_columns()
+    names = sorted(cols)
     table = mixed_table()
     discordant = analysis._discordant
     counted_on = set()
@@ -205,7 +216,7 @@ def test_correlation_matrix_bits_do_not_depend_on_the_thread_count(
     for workers in (1, 2, 3):
         monkeypatch.setattr(analysis, "_cpu_count", lambda: workers)
         counted_on.clear()
-        names, mats[workers] = correlation_matrix(table)
+        mats[workers] = analysis._tau_b([cols[c] for c in names], 16_000)
         main_only = counted_on == {threading.main_thread()}
         assert main_only == (workers == 1)
     assert names[0] == "a0_tied"
@@ -215,6 +226,12 @@ def test_correlation_matrix_bits_do_not_depend_on_the_thread_count(
     assert np.isnan(mats[1][degenerate][off[degenerate]]).all()
     rest = np.delete(np.delete(mats[1], degenerate, 0), degenerate, 1)
     assert np.isfinite(rest).all()
+    finite = [names.index(c) for c in sorted(table.columns)]
+    for workers in (1, 2):
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: workers)
+        got_names, got = correlation_matrix(table)
+        assert got_names == [names[i] for i in finite]
+        assert got.tobytes() == mats[1][np.ix_(finite, finite)].tobytes()
 
 
 def discordant_einsum(seq, pad):
@@ -297,6 +314,16 @@ def test_metric_table_rejects_a_repeated_arch_index():
                        match="^arch_index 9 has more than one row$"):
         MetricTable(np.array([4, 9, 1, 9]), {"acc": np.arange(4.0)})
     assert MetricTable(np.array([], dtype=np.int64)).n_rows == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_metric_table_rejects_a_cell_that_is_not_finite(bad):
+    # a NaN cell once gave correlation_matrix NaN off the diagonal and
+    # passed top_k_by, with no error
+    with pytest.raises(ValueError, match="^column 'a' is not finite at "
+                       "arch_index 9$"):
+        MetricTable([4, 9, 1, 2], {"b": [1.0, 2.0, 3.0, 4.0],
+                                   "a": [1.0, bad, 2.0, 3.0]})
 
 
 def test_metric_table_validation_and_lookup():
@@ -478,6 +505,13 @@ def test_size_brackets_reject_edges_that_are_not_finite(edges):
     # check and put sizes into a bracket labelled [120,nan)
     with pytest.raises(ValueError, match="finite"):
         size_brackets([100, 200, 300], edges)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_size_brackets_reject_sizes_that_are_not_finite(bad):
+    # a NaN size once landed in the top bracket
+    with pytest.raises(ValueError, match="^sizes must be finite$"):
+        size_brackets([bad, 5.0], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for bin partitions and binned calibration metrics.
+"""Tests for the binning kernel and the binned calibration metrics.
 
 Every metric is checked against a deliberately naive scalar re-implementation
 (plain Python loops over per-bin member lists) on seeded random inputs.
@@ -7,20 +7,15 @@ import numpy as np
 import pytest
 
 from calibrex import (
-    BinPartition,
     PredictionSet,
     as_probabilities,
-    assign_bins,
-    bin_stats,
     cwce,
     cwce_em,
     ece,
     ece_em,
-    equal_mass_edges,
     mce,
-    reliability_data,
 )
-from calibrex.binning import _binned_metrics, _top_label
+from calibrex.binning import _binned_metrics, _edge_layout, _top_label
 from calibrex.suite import BIN_METRICS, DEFAULT_BIN_SIZES
 
 
@@ -94,86 +89,132 @@ def cwce_oracle(preds, m, scheme):
 
 
 # ---------------------------------------------------------------------------
-# partitions and bin assignment
+# the kernel's edges and bins
 # ---------------------------------------------------------------------------
 
+def edge_blocks(bin_counts, n):
+    """``{(scheme, m): edges}`` read back from ``_edge_layout``: interior
+    equal-width edges as values, interior equal-mass edges as cut indices
+    into the sorted column, each block between -inf and +inf."""
+    widths, cuts, layout = _edge_layout(bin_counts, n)
+    sources = np.concatenate(([-np.inf, np.inf], widths, cuts))
+    blocks, start = {}, 0
+    for m in bin_counts:
+        for scheme in ("width", "mass"):
+            blocks[scheme, m] = sources[layout[start:start + m + 1]]
+            start += m + 1
+    assert start == layout.size
+    return blocks
+
+
+def weighted_gap(conf, hits, idx, m):
+    """The weighted gap of one column binned by the given bin indices."""
+    total = 0.0
+    for b in range(m):
+        members = np.flatnonzero(np.asarray(idx) == b)
+        if members.size:
+            total += members.size / len(conf) * abs(
+                np.mean(hits[members]) - np.mean(conf[members]))
+    return total
+
+
+def two_class(col0, labels):
+    """A two-class probability set whose class 0 scores are ``col0``."""
+    col0 = np.asarray(col0, dtype=np.float64)
+    return PredictionSet(np.stack([col0, 1.0 - col0], axis=1), labels,
+                         is_probabilities=True)
+
+
 def test_equal_width_edges_are_exact():
-    for m in (1, 2, 5, 15, 100):
-        part = BinPartition.equal_width(m)
-        assert part.m == m
-        assert np.array_equal(part.edges, np.arange(m + 1) / m)
+    for bin_counts in ((1,), (2,), (5,), (15,), (100,), DEFAULT_BIN_SIZES):
+        blocks = edge_blocks(bin_counts, 137)
+        for m in bin_counts:
+            want = np.concatenate(([-np.inf], np.arange(1, m) / m, [np.inf]))
+            assert blocks["width", m].tobytes() == want.tobytes()
 
 
 def test_equal_mass_edges_match_order_statistics():
     rng = np.random.default_rng(0)
-    for m in (1, 2, 5, 10, 50):
-        conf = rng.uniform(size=137)
-        got = equal_mass_edges(conf, m)
-        assert got.tolist() == edges_oracle("mass", conf, m)
+    bin_counts = (1, 2, 5, 10, 50)
+    blocks = edge_blocks(bin_counts, 137)
+    conf = rng.uniform(size=137)
+    for m in bin_counts:
+        cuts = blocks["mass", m][1:-1]
+        assert cuts.tolist() == [(i * 137) // m for i in range(1, m)]
+        edges = np.sort(conf)[cuts.astype(int)]
+        assert edges.tolist() == edges_oracle("mass", conf, m)[1:-1]
 
 
 def test_equal_mass_occupancy_spread_at_most_one_on_distinct_values():
+    # on distinct values no cut sits inside a run of ties, so the kernel
+    # takes each cut index as the position of its edge: a bin holds the
+    # samples between two consecutive cuts
     rng = np.random.default_rng(1)
     for trial in range(30):
         n = int(rng.integers(20, 400))
         m = int(rng.integers(1, 20))
-        conf = rng.permutation(np.linspace(0.01, 0.99, n))
-        part = BinPartition.equal_mass(conf, m)
-        counts = np.bincount(assign_bins(conf, part), minlength=m)
+        positions = edge_blocks((m,), n)["mass", m]
+        positions[[0, -1]] = 0, n
+        counts = np.diff(positions)
         assert counts.max() - counts.min() <= 1
         assert counts.sum() == n
 
 
 def test_equal_mass_ties_share_one_bin():
-    conf = np.full(50, 0.7)
-    part = BinPartition.equal_mass(conf, 10)
-    counts = np.bincount(assign_bins(conf, part), minlength=10)
-    assert np.sum(counts > 0) == 1
-    assert counts.max() == 50
+    # 50 samples at one confidence: if the ties were split over bins by
+    # position, the misses (sorted first) and the hits would fill
+    # different bins and the error would exceed the single-bin one
+    labels = np.r_[np.zeros(20, dtype=int), np.ones(30, dtype=int)]
+    preds = two_class(np.full(50, 0.7), labels)
+    assert ece(preds, 1) == pytest.approx(abs(0.4 - 0.7), abs=1e-15)
+    for metric in (ece_em, cwce_em, lambda p, m: mce(p, m, "mass")):
+        assert metric(preds, 10) == metric(preds, 1)
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError, match="unknown scheme"):
-        BinPartition("quantile", [0.0, 1.0])
-    with pytest.raises(ValueError, match="at least 2"):
-        BinPartition("width", [0.5])
-    with pytest.raises(ValueError, match="start at 0"):
-        BinPartition("width", [0.1, 1.0])
-    with pytest.raises(ValueError, match="non-decreasing"):
-        BinPartition("width", [0.0, 0.6, 0.4, 1.0])
-    with pytest.raises(ValueError, match="positive integer"):
-        BinPartition.equal_width(0)
+    preds = random_prob_preds(np.random.default_rng(9), 20, 3)
+    for metric in (ece, mce, cwce):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            metric(preds, 10, "quantile")
+        for bad in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="positive integer"):
+                metric(preds, bad)
 
 
 def test_assign_bins_half_open_rule():
-    part = BinPartition.equal_width(4)
+    # bins [e_i, e_{i+1}) with the last closed at 1; class 1's scores
+    # 1 - conf fall on the edges too
     conf = np.array([0.0, 0.1, 0.25, 0.49999, 0.5, 0.75, 0.99, 1.0])
-    assert assign_bins(conf, part).tolist() == [0, 0, 1, 1, 2, 3, 3, 3]
+    labels = np.array([0, 1, 1, 0, 0, 1, 0, 1])
+    preds = two_class(conf, labels)
+    want = (weighted_gap(conf, labels == 0, [0, 0, 1, 1, 2, 3, 3, 3], 4)
+            + weighted_gap(1.0 - conf, labels == 1,
+                           [3, 3, 3, 2, 2, 1, 0, 0], 4)) / 2
+    assert cwce(preds, 4) == pytest.approx(want, abs=1e-15)
 
 
 def test_assign_bins_matches_oracle_with_duplicate_edges():
-    part = BinPartition("mass", [0.0, 0.5, 0.5, 1.0])
-    conf = np.array([0.0, 0.4999, 0.5, 0.7, 1.0])
-    got = assign_bins(conf, part)
-    want = [assign_oracle(c, [0.0, 0.5, 0.5, 1.0]) for c in conf]
-    assert got.tolist() == want == [0, 0, 2, 2, 2]
+    # equal-mass edges [0, 0.5, 0.5, 1]: the middle bin stays empty and
+    # every 0.5 falls in the last bin, in both class columns
+    conf = np.array([0.0, 0.5, 0.5, 0.5, 1.0])
+    labels = np.array([0, 1, 0, 0, 1])
+    preds = two_class(conf, labels)
+    assert edges_oracle("mass", conf, 3) == [0.0, 0.5, 0.5, 1.0]
+    idx = [[assign_oracle(c, edges_oracle("mass", col, 3)) for c in col]
+           for col in (conf, 1.0 - conf)]
+    assert idx == [[0, 2, 2, 2, 2], [2, 2, 2, 2, 0]]
+    want = (weighted_gap(conf, labels == 0, idx[0], 3)
+            + weighted_gap(1.0 - conf, labels == 1, idx[1], 3)) / 2
+    assert cwce_em(preds, 3) == pytest.approx(want, abs=1e-15)
 
 
 def test_bin_stats_counts_and_means():
-    part = BinPartition.equal_width(2)
-    conf = np.array([0.2, 0.4, 0.9])
-    correct = np.array([1.0, 0.0, 1.0])
-    stats = bin_stats(conf, correct, part)
-    assert stats.counts.tolist() == [2, 1]
-    assert np.allclose(stats.mean_confidence, [0.3, 0.9])
-    assert np.allclose(stats.mean_accuracy, [0.5, 1.0])
-
-
-def test_bin_stats_empty_bins_are_nan():
-    part = BinPartition.equal_width(4)
-    stats = bin_stats(np.array([0.1]), np.array([1.0]), part)
-    assert stats.counts.tolist() == [1, 0, 0, 0]
-    assert np.isnan(stats.mean_confidence[1:]).all()
+    # class 0: bins {0.2, 0.4} (hits 1, 0) and {0.9} (hit 1);
+    # class 1: bins {0.1} (hit 0) and {0.8, 0.6} (hits 0, 1)
+    preds = two_class([0.2, 0.4, 0.9], [0, 1, 0])
+    class0 = 2 / 3 * abs(0.5 - 0.3) + 1 / 3 * abs(1.0 - 0.9)
+    class1 = 1 / 3 * abs(0.0 - 0.1) + 2 / 3 * abs(0.5 - 0.7)
+    assert cwce(preds, 2) == pytest.approx((class0 + class1) / 2, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -267,37 +308,10 @@ def test_metrics_require_probabilities():
     preds = PredictionSet([[2.0, -1.0], [0.0, 1.0], [1.0, 0.0],
                            [3.0, 1.0], [0.5, 0.2]], [0, 1, 0, 0, 1])
     for fn in (lambda p: ece(p, 10), lambda p: mce(p, 10),
-               lambda p: cwce(p, 10), lambda p: reliability_data(p, 10)):
+               lambda p: cwce(p, 10)):
         with pytest.raises(ValueError, match="as_probabilities"):
             fn(preds)
         fn(as_probabilities(preds))  # converted input is accepted
-
-
-# ---------------------------------------------------------------------------
-# reliability diagrams
-# ---------------------------------------------------------------------------
-
-def test_reliability_data_aggregates_to_metrics():
-    rng = np.random.default_rng(7)
-    for scheme in ("width", "mass"):
-        preds = random_prob_preds(rng, 150, 4)
-        diag = reliability_data(preds, 12, scheme)
-        nz = diag.counts > 0
-        ece_from_diag = np.sum(diag.counts[nz] * np.abs(diag.gap[nz])) / 150
-        mce_from_diag = np.max(np.abs(diag.gap[nz]))
-        assert ece_from_diag == pytest.approx(ece(preds, 12, scheme), abs=1e-12)
-        assert mce_from_diag == pytest.approx(mce(preds, 12, scheme), abs=1e-12)
-        assert diag.counts.sum() == 150
-        assert diag.partition.m == 12
-
-
-def test_reliability_gap_sign():
-    # underconfident bin: accuracy above confidence gives a positive gap
-    scores = np.array([[0.55, 0.45]] * 5)
-    labels = np.zeros(5, dtype=int)
-    preds = PredictionSet(scores, labels, is_probabilities=True)
-    diag = reliability_data(preds, 1)
-    assert diag.gap[0] == pytest.approx(1.0 - 0.55, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +392,13 @@ def kernel_cases():
     # the public cwce one (K rows: 7, 8 and 17)
     for k in (7, 8, 17):
         yield f"k={k}", random_prob_preds(rng, 400, k)
+    # every row one probability vector: each column is a single run of
+    # ties, so every equal-mass edge sits inside it and all samples share
+    # the last bin
+    vector = rng.dirichlet(np.ones(3))
+    yield "one-vector", PredictionSet(np.tile(vector, (60, 1)),
+                                      rng.integers(0, 3, size=60),
+                                      is_probabilities=True)
 
 
 @pytest.mark.parametrize("name,preds", list(kernel_cases()))

@@ -3,6 +3,8 @@
 Each metric is compared against a naive reference implementation (scalar
 loops, dense O(N^2) kernels) on seeded random inputs.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,16 @@ def test_bandwidth_must_be_positive():
             mmce(preds, bad)
         with pytest.raises(ValueError, match="bandwidth"):
             kdece(preds, bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+def test_bandwidth_must_be_finite(bad):
+    # an infinite bandwidth once read as perfect calibration in kdece
+    preds = perfect_preds()
+    for metric in (mmce, kdece):
+        with pytest.raises(ValueError, match="^bandwidth must be a finite "
+                           "number > 0, got "):
+            metric(preds, bad)
 
 
 def test_silverman_formula_and_clipping():
