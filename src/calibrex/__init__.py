@@ -14,7 +14,7 @@ from .predictions import (LogitsFileError, PredictionSet, SplitSpec,
                           as_probabilities, read_csv_predictions,
                           read_logits_file, softmax, split,
                           write_csv_predictions, write_logits_file)
-from .search import (Objective, SearchConfig, SearchResult, TabularBenchmark,
+from .search import (SearchConfig, SearchResult, TabularBenchmark,
                      load_benchmark, local_search, make_objective, mutate,
                      neighbors, random_search, regularized_evolution,
                      synth_benchmark, write_benchmark)

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .predictions import read_header, read_rows
+from .predictions import _is_int, read_header, read_rows
 
 
 class NotFiniteError(ValueError):
@@ -231,10 +231,12 @@ def correlation_matrix(table: MetricTable,
 def top_k_by(table: MetricTable, column: str, k: int) -> MetricTable:
     """The k rows with the largest values of a column; ties broken by
     ascending arch index."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if k > table.n_rows:
+        raise ValueError(f"k {k} exceeds table size {table.n_rows}")
     order = np.lexsort((table.arch_index, -table.column(column)))
-    idx = order[:min(k, table.n_rows)]
+    idx = order[:k]
     return MetricTable(table.arch_index[idx],
                        {name: v[idx] for name, v in table.columns.items()})
 

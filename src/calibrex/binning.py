@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .predictions import PredictionSet
+from .predictions import PredictionSet, _is_int
 
 SCHEMES = ("width", "mass")
 # score columns the binned kernel sorts and bins per step: its buffer is
@@ -25,7 +25,7 @@ _ROWS_PER_STEP = 8
 
 
 def _check_m(m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError(f"bin count must be a positive integer, got {m!r}")
 
 

@@ -78,7 +78,7 @@ def cmd_eval(args) -> int:
         ood = (_read_confidences(args.ood_in),
                _read_confidences(args.ood_out))
     config = suite.SuiteConfig(
-        bin_sizes=args.bins.split(","), ood_inputs=ood,
+        bin_sizes=[int(b) for b in args.bins.split(",")], ood_inputs=ood,
         temperature_scale=args.temperature_scale,
         split=SplitSpec(args.val_fraction, seed=_resolve_seed(args.seed)),
         include_accuracy=args.include_accuracy, search_space=args.space)
@@ -105,9 +105,6 @@ def cmd_correlate(args) -> int:
         raise ValueError("--top-k and --by must be given together")
     table = analysis.read_table_csv(args.table)
     if args.top_k is not None:
-        if args.top_k > table.n_rows:
-            raise ValueError(f"--top-k {args.top_k} exceeds table size "
-                             f"{table.n_rows}")
         table = analysis.top_k_by(table, args.by, args.top_k)
     columns = args.columns.split(",") if args.columns else None
     names, mat = analysis.correlation_matrix(table, columns)

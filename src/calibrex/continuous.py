@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .binning import _binned, _require_probs, _top_label
-from .predictions import PredictionSet
+from .predictions import PredictionSet, _is_finite_real, _is_int
 
 PROB_FLOOR = 1e-12
 
@@ -72,7 +72,7 @@ def mmce(preds: PredictionSet, bandwidth: float = MMCE_BANDWIDTH) -> float:
 
 
 def _check_bandwidth(bandwidth: float) -> None:
-    if not (bandwidth > 0 and np.isfinite(bandwidth)):
+    if not (_is_finite_real(bandwidth) and bandwidth > 0):
         raise ValueError(f"bandwidth must be a finite number > 0, got "
                          f"{bandwidth!r}")
 
@@ -128,8 +128,8 @@ def kdece(preds: PredictionSet, bandwidth: Optional[float] = None,
     _require_probs(preds)
     if bandwidth is not None:
         _check_bandwidth(bandwidth)
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
+    if not _is_int(grid) or grid < 2:
+        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
     return _kdece(*_top_label(preds), bandwidth, grid)
 
 

@@ -8,6 +8,7 @@ int32 labels, and a CSV format with header ``label,s0,...,s{K-1}``.
 from __future__ import annotations
 
 import csv
+import math
 import re
 import struct
 import warnings
@@ -23,6 +24,21 @@ _HEADER = struct.Struct("<4sHBII")  # magic, version, flag, N, K
 
 class LogitsFileError(ValueError):
     """Raised for malformed binary or CSV score files."""
+
+
+# the argument rules every module shares: a bool is not a number here
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite_real(x) -> bool:
+    if isinstance(x, bool) or \
+            not isinstance(x, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -60,15 +76,9 @@ class PredictionSet:
     def n_classes(self) -> int:
         return self.scores.shape[1]
 
-    def probabilities(self) -> np.ndarray:
-        """Probability matrix: scores if already probabilities, else softmax."""
-        if self.is_probabilities:
-            return self.scores
-        return _softmax(self.scores)
-
     def top_confidence(self) -> np.ndarray:
         """Per-sample top-label probability."""
-        return self.probabilities().max(axis=1)
+        return as_probabilities(self).scores.max(axis=1)
 
     def predicted_class(self) -> np.ndarray:
         """Argmax class per sample; ties resolve to the smallest class index."""
@@ -308,10 +318,7 @@ def read_csv_predictions(path) -> PredictionSet:
     in_range = scores.min() >= 0.0 and scores.max() <= 1.0
     is_prob = bool(in_range and
                    np.max(np.abs(scores.sum(axis=1) - 1.0)) <= 1e-6)
-    try:
-        _check(scores, labels, is_prob)
-    except ValueError as exc:
-        raise LogitsFileError(f"{path}: {exc}") from exc
+    # _check_rows passed each row, and is_prob is _check's probability rule
     return _trusted(scores, labels, is_prob)
 
 

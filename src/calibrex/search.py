@@ -20,7 +20,8 @@ from .analysis import MetricTable, NotFiniteError, hcs
 from .archspace import (SSS_CHANNELS, TSS_OPS, SssArch, TssArch,
                         enumerate_sss, enumerate_tss, parse_arch, sss_string,
                         tss_string)
-from .suite import (MeasurementRecord, _is_int, atomic_output, read_records,
+from .predictions import _is_int
+from .suite import (MeasurementRecord, atomic_output, read_records,
                     write_records)
 
 OBJECTIVES = ("acc", "ece", "hcs")
@@ -29,6 +30,9 @@ ECE_BINS = 15
 # regularized evolution: members alive at once, and the tournament size
 POPULATION_SIZE = 20
 SAMPLE_SIZE = 5
+# an objective maps a metrics dict to the score to maximize; it must also
+# work elementwise on a dict of NumPy columns (``TabularBenchmark.scores``)
+_Objective = Callable[[Dict[str, float]], float]
 
 
 @dataclass(eq=False)
@@ -65,48 +69,26 @@ class TabularBenchmark:
                 from None
         return {name: float(col[i]) for name, col in self.metrics.items()}
 
-    def scores(self, objective: "Objective") -> Dict[str, float]:
+    def scores(self, objective: _Objective) -> Dict[str, float]:
         """The objective of every architecture, keyed by arch.
 
-        One call of ``objective.fn`` over the metric columns scores them
-        all, so an out-of-range value anywhere fails here.
+        One call of ``objective`` over the metric columns scores them all,
+        so an out-of-range value anywhere fails here.
         """
         values = np.broadcast_to(
-            np.asarray(objective.fn(self.metrics), dtype=np.float64),
+            np.asarray(objective(self.metrics), dtype=np.float64),
             (len(self.archs),))
         return dict(zip(self.archs, values.tolist()))
 
-    def argmax(self, objective: "Objective"):
-        scores = self.scores(objective)
-        best = max(self.archs, key=scores.__getitem__)
-        return best, scores[best]
 
-
-@dataclass(frozen=True)
-class Objective:
-    """A named scalar to maximize, computed from a metrics dict.
-
-    ``fn`` must also work elementwise when each metric is a NumPy column:
-    searches score every architecture with one call
-    (``TabularBenchmark.scores``).
-    """
-
-    name: str
-    fn: Callable[[Dict[str, float]], float]
-
-    def __call__(self, metrics: Dict[str, float]) -> float:
-        return float(self.fn(metrics))
-
-
-def make_objective(kind: str, beta: float = 1.0) -> Objective:
+def make_objective(kind: str, beta: float = 1.0) -> _Objective:
     """acc maximizes accuracy, ece minimizes ECE, hcs blends the two."""
     if kind == "acc":
-        return Objective("acc", lambda m: m["accuracy"])
+        return lambda m: m["accuracy"]
     if kind == "ece":
-        return Objective("ece", lambda m: -m["ece"])
+        return lambda m: -m["ece"]
     if kind == "hcs":
-        return Objective(f"hcs(beta={beta:g})",
-                         lambda m: hcs(m["accuracy"], m["ece"], beta))
+        return lambda m: hcs(m["accuracy"], m["ece"], beta)
     raise ValueError(f"unknown objective {kind!r}; pick from {OBJECTIVES}")
 
 
@@ -130,14 +112,14 @@ def synth_benchmark(space: str = "tss", seed: int = 0,
     if planted is not None:
         if planted not in set(archs):
             raise ValueError("planted architecture must belong to the space")
-        plant_parts = _arch_parts(planted, space)
+        plant_parts = _encoding(parse_arch(planted))[0]
     accs, eces = [], []
     for s in archs:
         if plant_parts is None:
             acc = _unit_hash(seed, "acc", s)
             ece = 0.25 * _unit_hash(seed, "ece", s)
         else:
-            d = sum(x != y for x, y in zip(_arch_parts(s, space),
+            d = sum(x != y for x, y in zip(_encoding(parse_arch(s))[0],
                                            plant_parts))
             acc = 1.0 if d == 0 else \
                 1.0 - 0.12 * d - 0.02 * _unit_hash(seed, "acc", s)
@@ -145,11 +127,6 @@ def synth_benchmark(space: str = "tss", seed: int = 0,
         accs.append(acc)
         eces.append(ece)
     return TabularBenchmark(space, {"accuracy": accs, "ece": eces}, archs)
-
-
-def _arch_parts(s: str, space: str):
-    a = parse_arch(s)
-    return a.ops if space == "tss" else a.channels
 
 
 def write_benchmark(bench: TabularBenchmark, records_path: str) -> None:
@@ -229,8 +206,9 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
+        if not _is_int(self.budget) or self.budget < 1:
+            raise ValueError(f"budget must be a positive integer, got "
+                             f"{self.budget!r}")
 
 
 @dataclass
@@ -259,7 +237,7 @@ class _Evaluator:
     leave that count at 0.
     """
 
-    def __init__(self, bench: TabularBenchmark, objective: Objective,
+    def __init__(self, bench: TabularBenchmark, objective: _Objective,
                  budget: int):
         self.bench = bench
         self.scores = bench.scores(objective)
@@ -329,7 +307,7 @@ def neighbors(arch) -> list:
     return [type(arch)(p) for p in _neighbor_parts(parts, alphabet)]
 
 
-def random_search(bench: TabularBenchmark, objective: Objective,
+def random_search(bench: TabularBenchmark, objective: _Objective,
                   config: SearchConfig) -> SearchResult:
     """Uniform sampling without replacement up to the budget."""
     if config.budget > len(bench):
@@ -343,7 +321,7 @@ def random_search(bench: TabularBenchmark, objective: Objective,
     return ev.result()
 
 
-def regularized_evolution(bench: TabularBenchmark, objective: Objective,
+def regularized_evolution(bench: TabularBenchmark, objective: _Objective,
                           config: SearchConfig) -> SearchResult:
     """Aging evolution: tournament parent selection, FIFO population.
 
@@ -373,7 +351,7 @@ def regularized_evolution(bench: TabularBenchmark, objective: Objective,
     return ev.result()
 
 
-def local_search(bench: TabularBenchmark, objective: Objective,
+def local_search(bench: TabularBenchmark, objective: _Objective,
                  config: SearchConfig) -> SearchResult:
     """Best-improvement hill climbing from a random start.
 

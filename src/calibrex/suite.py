@@ -24,12 +24,12 @@ import numpy as np
 
 from . import binning, continuous
 from .analysis import MetricTable
-from .predictions import PredictionSet, SplitSpec, as_probabilities, split
+from .predictions import (PredictionSet, SplitSpec, _is_finite_real, _is_int,
+                          as_probabilities, split)
 from .temperature import apply_temperature, fit_temperature
 
 DEFAULT_BIN_SIZES = (5, 10, 15, 20, 25, 50, 100, 200, 500)
-BIN_METRICS = ("ece", "ece_em", "cwce", "cwce_em", "mce")
-CONTINUOUS_METRICS = ("nll", "brier", "ksce", "mmce", "kdece")
+BIN_METRICS = tuple(binning._SUITE_METRICS)
 STAGES = ("pre", "post")
 _SPACES = ("tss", "sss")  # by a boolean: is it sss
 SPLITS = ("val", "test")
@@ -65,20 +65,6 @@ _RECORD_FIELDS = frozenset(f.name for f in fields(MeasurementRecord))
 _REQUIRED_FIELDS = _RECORD_FIELDS - {"temperature"}
 _PLAIN_TYPES = (("arch_index", int), ("bin_count", int), ("value", float),
                 ("temperature", float))
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _is_finite_real(x) -> bool:
-    if isinstance(x, bool) or \
-            not isinstance(x, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 def check_record(rec: dict) -> None:
@@ -146,9 +132,9 @@ class SuiteConfig:
     arch_index: int = 0
 
     def __post_init__(self):
-        sizes = tuple(int(b) for b in self.bin_sizes)
-        if any(b < 1 for b in sizes):
-            raise ValueError("bin sizes must be positive")
+        sizes = tuple(self.bin_sizes)
+        for b in sizes:
+            binning._check_m(b)
         if list(sizes) != sorted(set(sizes)):
             raise ValueError("bin sizes must be sorted and unique")
         self.bin_sizes = sizes
@@ -163,6 +149,7 @@ _CONT_FUNCS = {"nll": lambda probs, top: continuous.nll(probs),
                "ksce": lambda probs, top: continuous._ksce(*top),
                "mmce": lambda probs, top: continuous._mmce(*top),
                "kdece": lambda probs, top: continuous._kdece(*top)}
+CONTINUOUS_METRICS = tuple(_CONT_FUNCS)
 
 
 def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
@@ -197,13 +184,11 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
         # one argmax and one canonical sort serve every top-label metric
         top = binning._top_label(probs)
         binned = binning._binned_metrics(probs, top, config.bin_sizes)
-        for metric in BIN_METRICS:
-            for bins in config.bin_sizes:
-                records.append(rec(metric, bins, stage, binned[metric, bins],
-                                   tval))
-        for metric in CONTINUOUS_METRICS:
-            records.append(rec(metric, None, stage,
-                               _CONT_FUNCS[metric](probs, top), tval))
+        for (metric, bins), value in binned.items():
+            records.append(rec(metric, bins, stage, value, tval))
+        for metric, value_of in _CONT_FUNCS.items():
+            records.append(rec(metric, None, stage, value_of(probs, top),
+                               tval))
         if config.include_accuracy:
             # a 0/1 sum is exact in any order: the bits of probs.accuracy()
             records.append(rec("accuracy", None, stage, top[1].mean(), tval))

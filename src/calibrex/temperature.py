@@ -153,8 +153,9 @@ def apply_temperature(preds: PredictionSet, temperature) -> PredictionSet:
     """Rescale logits by 1/T and softmax; output is always probabilities."""
     t = temperature.value if isinstance(temperature, Temperature) \
         else float(temperature)
-    if not t > 0.0:
-        raise ValueError("temperature must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"temperature must be a finite positive number, "
+                         f"got {t!r}")
     z = _as_logits(preds) / t
     _check_logits(z)  # huge logits over a small t overflow
     return _trusted(_softmax(z, out=z), preds.labels.copy(), True)

@@ -373,9 +373,16 @@ def test_top_k_by_orders_and_breaks_ties_by_arch():
     best = top_k_by(t, "acc", 2)
     # 0.9 appears for archs 4 and 9; smaller arch index wins the tie
     assert best.arch_index.tolist() == [4, 9]
-    assert top_k_by(t, "acc", 99).n_rows == 4
-    with pytest.raises(ValueError, match="positive"):
-        top_k_by(t, "acc", 0)
+    assert top_k_by(t, "acc", 4).n_rows == 4
+    # k beyond the table was clamped; 1.5 failed inside numpy's slicing
+    for k in (5, 99):
+        with pytest.raises(ValueError, match=f"^k {k} exceeds table size "
+                           "4$"):
+            top_k_by(t, "acc", k)
+    for k in (0, 1.5, 2.0, True, None):
+        with pytest.raises(ValueError, match="^k must be a positive "
+                           f"integer, got {k}$"):
+            top_k_by(t, "acc", k)
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,11 @@ def test_partition_validation():
     for metric in (ece, mce, cwce):
         with pytest.raises(ValueError, match="unknown scheme"):
             metric(preds, 10, "quantile")
-        for bad in (0, -1, 2.5):
-            with pytest.raises(ValueError, match="positive integer"):
+    # True once gave the one-bin ECE
+    for metric in (ece, ece_em, mce, cwce, cwce_em):
+        for bad in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="^bin count must be a "
+                               f"positive integer, got {bad}$"):
                 metric(preds, bad)
 
 

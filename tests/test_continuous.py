@@ -360,8 +360,19 @@ def test_kdece_well_calibrated_bernoulli_is_small():
 
 def test_kdece_argument_validation():
     preds = perfect_preds()
-    with pytest.raises(ValueError, match="grid"):
-        kdece(preds, grid=1)
+    # 2.5 once failed inside np.linspace with a TypeError
+    for grid in (1, 2.5, 64.0, True, None, "64"):
+        with pytest.raises(ValueError, match="^grid must be an integer "
+                           f">= 2, got {grid!r}$"):
+            kdece(preds, grid=grid)
+
+
+@pytest.mark.parametrize("bad", [None, "0.1", True])
+def test_mmce_bandwidth_must_be_a_number(bad):
+    # None once raised TypeError: '>' not supported
+    with pytest.raises(ValueError, match="^bandwidth must be a finite "
+                       f"number > 0, got {bad!r}$"):
+        mmce(perfect_preds(), bad)
 
 
 def kdece_edge_cases():

@@ -214,7 +214,7 @@ def test_softmax_rejects_bad_input():
 def test_probabilities_passthrough_and_as_probabilities():
     rng = np.random.default_rng(0)
     p = random_preds(rng, 10, 3, probabilities=True)
-    assert p.probabilities() is p.scores
+    assert as_probabilities(p) is p
 
     q = random_preds(rng, 10, 3)
     qp = as_probabilities(q)

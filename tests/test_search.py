@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from calibrex import (
-    Objective,
     SearchConfig,
     SearchResult,
     SssArch,
@@ -50,12 +49,12 @@ def test_tabular_benchmark_query_and_argmax():
     assert bench.query(arch) == bench.query(arch.to_string())
     with pytest.raises(KeyError, match="not in benchmark"):
         bench.query("8:8:8:8:8")
-    best, value = bench.argmax(make_objective("acc"))
-    assert best == bench.archs[5]
-    assert value == pytest.approx(0.75)
-    best, value = bench.argmax(make_objective("ece"))
-    assert best == bench.archs[5]
-    assert value == pytest.approx(-0.10)
+    for kind, want in (("acc", 0.75), ("ece", -0.10)):
+        scores = bench.scores(make_objective(kind))
+        assert list(scores) == bench.archs
+        best = max(bench.archs, key=scores.__getitem__)
+        assert best == bench.archs[5]
+        assert scores[best] == pytest.approx(want)
 
 
 def test_tabular_benchmark_validation():
@@ -86,11 +85,12 @@ def test_make_objective():
     assert make_objective("ece")(m) == -0.2
     assert make_objective("hcs", beta=2.0)(m) == pytest.approx(
         hcs(0.9, 0.2, 2.0))
-    assert make_objective("hcs").name == "hcs(beta=1)"
     with pytest.raises(ValueError, match="unknown objective"):
         make_objective("latency")
-    custom = Objective("neg", lambda m: -m["accuracy"])
-    assert custom(m) == -0.9
+    # any function of the metrics is an objective; searches pass columns
+    bench = small_bench()
+    scores = bench.scores(lambda m: -m["accuracy"])
+    assert scores == {a: -bench.query(a)["accuracy"] for a in bench.archs}
 
 
 def test_synth_benchmark_coverage_and_determinism():
@@ -346,8 +346,12 @@ def test_evaluator_counts_memo_hits_against_budget():
 
 
 def test_search_config_validation():
-    with pytest.raises(ValueError, match="budget"):
-        SearchConfig(budget=0)
+    # 2.5 was accepted, and True read as a budget of 1
+    for bad in (0, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="^budget must be a positive "
+                           "integer, got "):
+            SearchConfig(budget=bad)
+    assert SearchConfig(budget=np.int64(3)).budget == 3
 
 
 def test_search_result_to_dict_shape():
@@ -375,9 +379,10 @@ def test_random_search_with_full_budget_finds_argmax():
     result = random_search(bench, obj, SearchConfig(budget=6, seed=0))
     check_common_contract(result, bench, 6)
     assert result.evaluations == 6
-    want_arch, want_value = bench.argmax(obj)
+    scores = bench.scores(obj)
+    want_arch = max(bench.archs, key=scores.__getitem__)
     assert result.best_arch == want_arch
-    assert result.best_value == pytest.approx(want_value)
+    assert result.best_value == scores[want_arch]
 
 
 def test_random_search_budget_cannot_exceed_space():

@@ -228,8 +228,12 @@ def test_ood_validation():
 def test_config_validation():
     with pytest.raises(ValueError, match="sorted and unique"):
         SuiteConfig(bin_sizes=(10, 5))
-    with pytest.raises(ValueError, match="positive"):
-        SuiteConfig(bin_sizes=(0, 5))
+    # (2.7, 5) once measured at 2 bins, and (True, 5) at 1
+    for sizes in ((0, 5), (2.7, 5), (True, 5), (5, 10.0), ("5",)):
+        with pytest.raises(ValueError, match="^bin count must be a "
+                           "positive integer, got "):
+            SuiteConfig(bin_sizes=sizes)
+    assert SuiteConfig(bin_sizes=(np.int64(5), 10)).bin_sizes == (5, 10)
 
 
 def test_record_validation():

@@ -302,8 +302,10 @@ def test_apply_on_probabilities_round_trips_at_identity():
 
 def test_apply_rejects_nonpositive_temperature():
     preds = planted_preds(1.0)
-    for bad in (0.0, -2.0):
-        with pytest.raises(ValueError, match="positive"):
+    # inf once gave 1/K in every row, with no error
+    for bad in (0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^temperature must be a "
+                           f"finite positive number, got {bad}$"):
             apply_temperature(preds, bad)
 
 
