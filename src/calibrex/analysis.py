@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .predictions import _is_int, read_header, read_rows
+from .predictions import (_check_count, _check_positive, read_header,
+                          read_rows)
 
 
 class NotFiniteError(ValueError):
@@ -231,8 +232,7 @@ def correlation_matrix(table: MetricTable,
 def top_k_by(table: MetricTable, column: str, k: int) -> MetricTable:
     """The k rows with the largest values of a column; ties broken by
     ascending arch index."""
-    if not _is_int(k) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _check_count("k", k)
     if k > table.n_rows:
         raise ValueError(f"k {k} exceeds table size {table.n_rows}")
     order = np.lexsort((table.arch_index, -table.column(column)))
@@ -249,8 +249,7 @@ def hcs(accuracy, ece, beta: float = 1.0):
     min-max of its two ingredients and never exceeds 1.  Larger beta shifts
     the weight toward the calibration term 1 - ece.
     """
-    if not (beta > 0 and np.isfinite(beta)):
-        raise ValueError(f"beta must be a finite number > 0, got {beta!r}")
+    _check_positive("beta", beta)
     acc = np.asarray(accuracy, dtype=np.float64)
     q = 1.0 - np.asarray(ece, dtype=np.float64)
     if not (np.all((0 <= acc) & (acc <= 1)) and np.all((0 <= q) & (q <= 1))):

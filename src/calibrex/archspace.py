@@ -128,6 +128,11 @@ def enumerate_sss() -> List[SssArch]:
             for ch in itertools.product(SSS_CHANNELS, repeat=SSS_LAYERS)]
 
 
+# the search spaces by tag; an entry looks its enumeration up by name when
+# called, so a wrapper set on this module sees the call
+SPACES = {"tss": lambda: enumerate_tss(), "sss": lambda: enumerate_sss()}
+
+
 def model_size(arch: SssArch) -> int:
     """Channel-sum size proxy used for bracketing architectures."""
     return sum(arch.channels)

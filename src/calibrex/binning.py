@@ -15,18 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .predictions import PredictionSet, _is_int
+from .predictions import PredictionSet, _check_count
 
 SCHEMES = ("width", "mass")
 # score columns the binned kernel sorts and bins per step: its buffer is
 # 8 x N floats (512 KB at N=8,000), and at the default bin counts its
 # other temporaries stay under 128 KB each
 _ROWS_PER_STEP = 8
-
-
-def _check_m(m: int) -> None:
-    if not _is_int(m) or m < 1:
-        raise ValueError(f"bin count must be a positive integer, got {m!r}")
 
 
 def _require_probs(preds: PredictionSet) -> None:
@@ -198,7 +193,7 @@ def _binned(preds: PredictionSet, bins: int, scheme: str, classwise: bool,
             statistic: int, p: float = 1.0) -> float:
     """One binned error at one bin count: the kernel on a single row set,
     averaged over rows (the K class columns when ``classwise``)."""
-    _check_m(bins)
+    _check_count("bin count", bins)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     top = None if classwise else _top_label(preds)

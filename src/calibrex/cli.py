@@ -122,6 +122,7 @@ def cmd_correlate(args) -> int:
 
 def cmd_search(args) -> int:
     seed = _resolve_seed(args.seed)
+    objective = search.make_objective(args.objective, args.beta)
     if args.benchmark == "synthetic":
         bench = search.synth_benchmark(args.space, seed=seed)
     else:
@@ -129,7 +130,6 @@ def cmd_search(args) -> int:
         if bench.space != args.space:
             raise ValueError(f"benchmark is {bench.space}, "
                              f"--space says {args.space}")
-    objective = search.make_objective(args.objective, args.beta)
     config = search.SearchConfig(budget=args.budget, seed=seed)
     algo = {"rs": search.random_search, "re": search.regularized_evolution,
             "ls": search.local_search}[args.algo]
@@ -147,8 +147,7 @@ def cmd_enumerate(args) -> int:
     if args.dedupe and args.space != "tss":
         raise ValueError("--dedupe needs --space tss: fingerprint classes "
                          "exist for topology cells only")
-    archs = archspace.enumerate_tss() if args.space == "tss" \
-        else archspace.enumerate_sss()
+    archs = archspace.SPACES[args.space]()
     if args.dedupe:  # the first arch of each fingerprint class, in order
         firsts = {}
         for a in archs:
@@ -229,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first OoD confidence file (one value per line)")
     p.add_argument("--ood-out", metavar="PATH",
                    help="second OoD confidence file")
-    p.add_argument("--space", choices=("tss", "sss"), default="tss")
+    p.add_argument("--space", choices=archspace.SPACES, default="tss")
     p.add_argument("--include-accuracy", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -248,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "benchmark")
     p.add_argument("--benchmark", required=True,
                    help="records JSONL path, or 'synthetic'")
-    p.add_argument("--space", choices=("tss", "sss"), default="tss")
+    p.add_argument("--space", choices=archspace.SPACES, default="tss")
     p.add_argument("--algo", choices=("re", "ls", "rs"), default="rs")
     p.add_argument("--objective", choices=search.OBJECTIVES, default="acc")
     p.add_argument("--beta", type=float, default=1.0)
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list a search space, optionally "
                                          "deduplicated")
-    p.add_argument("--space", choices=("tss", "sss"), default="tss")
+    p.add_argument("--space", choices=archspace.SPACES, default="tss")
     p.add_argument("--dedupe", action="store_true",
                    help="one representative per fingerprint class")
     p.add_argument("--out", required=True)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .binning import _binned, _require_probs, _top_label
-from .predictions import PredictionSet, _is_finite_real, _is_int
+from .predictions import PredictionSet, _check_positive, _is_int
 
 PROB_FLOOR = 1e-12
 
@@ -67,14 +67,8 @@ def mmce(preds: PredictionSet, bandwidth: float = MMCE_BANDWIDTH) -> float:
     clamped at 0 before the root.
     """
     _require_probs(preds)
-    _check_bandwidth(bandwidth)
+    _check_positive("bandwidth", bandwidth)
     return _mmce(*_top_label(preds), bandwidth)
-
-
-def _check_bandwidth(bandwidth: float) -> None:
-    if not (_is_finite_real(bandwidth) and bandwidth > 0):
-        raise ValueError(f"bandwidth must be a finite number > 0, got "
-                         f"{bandwidth!r}")
 
 
 def _mmce(conf: np.ndarray, correct: np.ndarray,
@@ -127,7 +121,7 @@ def kdece(preds: PredictionSet, bandwidth: Optional[float] = None,
     """
     _require_probs(preds)
     if bandwidth is not None:
-        _check_bandwidth(bandwidth)
+        _check_positive("bandwidth", bandwidth)
     if not _is_int(grid) or grid < 2:
         raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
     return _kdece(*_top_label(preds), bandwidth, grid)
@@ -211,6 +205,15 @@ def lp_ce(preds: PredictionSet, p: float, bins: int,
     return _binned(preds, bins, scheme, False, 0, p) ** (1.0 / p)
 
 
+def _score_set(values) -> np.ndarray:
+    """A score set as float64: ValueError unless 1-D, non-empty, finite."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0 or not np.isfinite(x).all():
+        raise ValueError("a score set must be a non-empty 1-D array of "
+                         "finite numbers")
+    return x
+
+
 def auroc(pos_scores, neg_scores) -> float:
     """Probability a positive score outranks a negative one (ties count 0.5).
 
@@ -218,13 +221,8 @@ def auroc(pos_scores, neg_scores) -> float:
     from two ``searchsorted`` calls on the sorted negatives, so it is an
     exact half-integer and the value is the area under the ROC curve.
     """
-    pos = np.asarray(pos_scores, dtype=np.float64).ravel()
-    neg = np.asarray(neg_scores, dtype=np.float64).ravel()
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("both score sets must be non-empty")
-    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
-        raise ValueError("scores must be finite")
-    neg = np.sort(neg)
+    pos = _score_set(pos_scores)
+    neg = np.sort(_score_set(neg_scores))
     below = np.searchsorted(neg, pos, side="left").sum()
     not_above = np.searchsorted(neg, pos, side="right").sum()
     u = 0.5 * float(below + not_above)

@@ -41,6 +41,16 @@ def _is_finite_real(x) -> bool:
         return False
 
 
+def _check_positive(name: str, x) -> None:
+    if not (_is_finite_real(x) and x > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {x!r}")
+
+
+def _check_count(name: str, x) -> None:
+    if not _is_int(x) or x < 1:
+        raise ValueError(f"{name} must be a positive integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class PredictionSet:
     """Immutable matrix of per-sample class scores plus integer labels.
@@ -101,8 +111,7 @@ def _check(scores: np.ndarray, labels: np.ndarray,
     """Raise ValueError unless float64 ``scores`` and int64 ``labels`` make
     a valid PredictionSet.  The one rule set: the public constructor and
     the file readers apply it to their own copies."""
-    if scores.ndim != 2:
-        raise ValueError(f"scores must be 2-D, got shape {scores.shape}")
+    _check_scores(scores)
     n, k = scores.shape
     if n < 1:
         raise ValueError("need at least one sample")
@@ -111,9 +120,6 @@ def _check(scores: np.ndarray, labels: np.ndarray,
     if labels.shape != (n,):
         raise ValueError(
             f"labels shape {labels.shape} does not match {n} samples")
-    if not np.all(np.isfinite(scores)):
-        bad = int(np.argwhere(~np.isfinite(scores).all(axis=1))[0, 0])
-        raise ValueError(f"non-finite score in row {bad}")
     if labels.min() < 0 or labels.max() >= k:
         bad = int(np.argwhere((labels < 0) | (labels >= k))[0, 0])
         raise ValueError(
@@ -127,6 +133,15 @@ def _check(scores: np.ndarray, labels: np.ndarray,
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise ValueError(
                 f"row {bad} sums to {sums[bad]:.8f}, expected 1 within 1e-6")
+
+
+def _check_scores(scores: np.ndarray) -> None:
+    """The score-matrix rule: float64 ``scores`` are 2-D with finite rows."""
+    if scores.ndim != 2:
+        raise ValueError(f"scores must be 2-D, got shape {scores.shape}")
+    if not np.all(np.isfinite(scores)):
+        bad = int(np.argwhere(~np.isfinite(scores).all(axis=1))[0, 0])
+        raise ValueError(f"non-finite score in row {bad}")
 
 
 def _freeze(preds: PredictionSet, scores: np.ndarray,
@@ -167,16 +182,8 @@ def softmax(scores: np.ndarray) -> np.ndarray:
         Rows are probability vectors summing to 1.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    _check_logits(scores)
+    _check_scores(scores)
     return _softmax(scores)
-
-
-def _check_logits(scores: np.ndarray) -> None:
-    if scores.ndim != 2:
-        raise ValueError(f"expected 2-D logits, got shape {scores.shape}")
-    if not np.all(np.isfinite(scores)):
-        bad = int(np.argwhere(~np.isfinite(scores).all(axis=1))[0, 0])
-        raise ValueError(f"non-finite logit in row {bad}")
 
 
 def _softmax(scores: np.ndarray, out=None) -> np.ndarray:
@@ -200,15 +207,19 @@ class SplitSpec:
     """Validation/test split request.
 
     fraction is the validation share; the permutation is drawn from
-    ``np.random.default_rng(seed)``.
+    ``np.random.default_rng(seed)``, so a split repeats for a given seed.
     """
 
     fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.fraction < 1.0:
-            raise ValueError(f"fraction must lie in (0, 1), got {self.fraction}")
+        if not (_is_finite_real(self.fraction) and 0.0 < self.fraction < 1.0):
+            raise ValueError(f"fraction must lie in (0, 1), got "
+                             f"{self.fraction!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got "
+                             f"{self.seed!r}")
 
 
 def _take(preds: PredictionSet, idx: np.ndarray) -> PredictionSet:

@@ -17,11 +17,10 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .analysis import MetricTable, NotFiniteError, hcs
-from .archspace import (SSS_CHANNELS, TSS_OPS, SssArch, TssArch,
-                        enumerate_sss, enumerate_tss, parse_arch, sss_string,
-                        tss_string)
-from .predictions import _is_int
-from .suite import (MeasurementRecord, atomic_output, read_records,
+from .archspace import (SPACES, SSS_CHANNELS, TSS_OPS, SssArch, TssArch,
+                        parse_arch, sss_string, tss_string)
+from .predictions import _check_count, _check_positive, _is_int
+from .suite import (_SPACES, MeasurementRecord, atomic_output, read_records,
                     write_records)
 
 OBJECTIVES = ("acc", "ece", "hcs")
@@ -44,7 +43,7 @@ class TabularBenchmark:
     archs: List[str]
 
     def __post_init__(self):
-        if self.space not in ("tss", "sss"):
+        if self.space not in _SPACES:
             raise ValueError(f"bad space {self.space!r}")
         try:
             self.metrics = MetricTable(range(len(self.archs)),
@@ -88,6 +87,7 @@ def make_objective(kind: str, beta: float = 1.0) -> _Objective:
     if kind == "ece":
         return lambda m: -m["ece"]
     if kind == "hcs":
+        _check_positive("beta", beta)  # before any scoring
         return lambda m: hcs(m["accuracy"], m["ece"], beta)
     raise ValueError(f"unknown objective {kind!r}; pick from {OBJECTIVES}")
 
@@ -106,8 +106,8 @@ def synth_benchmark(space: str = "tss", seed: int = 0,
     from it, so the planted arch is the unique argmax and every other arch
     has a strictly improving neighbor (a hill-climbable landscape).
     """
-    archs = [a.to_string() for a in
-             (enumerate_tss() if space == "tss" else enumerate_sss())]
+    TabularBenchmark(space, {}, [])  # a bad space, refused before enumerating
+    archs = [a.to_string() for a in SPACES[space]()]
     plant_parts = None
     if planted is not None:
         if planted not in set(archs):
@@ -206,9 +206,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_int(self.budget) or self.budget < 1:
-            raise ValueError(f"budget must be a positive integer, got "
-                             f"{self.budget!r}")
+        _check_count("budget", self.budget)
 
 
 @dataclass

@@ -24,14 +24,17 @@ import numpy as np
 
 from . import binning, continuous
 from .analysis import MetricTable
-from .predictions import (PredictionSet, SplitSpec, _is_finite_real, _is_int,
+from .archspace import SPACES
+from .predictions import (PredictionSet, SplitSpec, _check_count,
+                          _check_positive, _is_finite_real, _is_int,
                           as_probabilities, split)
 from .temperature import apply_temperature, fit_temperature
 
 DEFAULT_BIN_SIZES = (5, 10, 15, 20, 25, 50, 100, 200, 500)
 BIN_METRICS = tuple(binning._SUITE_METRICS)
 STAGES = ("pre", "post")
-_SPACES = ("tss", "sss")  # by a boolean: is it sss
+# by a boolean: is it sss; `in` on a tuple takes an unhashable tag too
+_SPACES = tuple(SPACES)
 SPLITS = ("val", "test")
 
 
@@ -91,7 +94,7 @@ def check_record(rec: dict) -> None:
         name = "metric" if isinstance(rec["benchmark_dataset"], str) \
             else "benchmark_dataset"
         raise ValueError(f"{name} must be a string, got {rec[name]!r}")
-    if rec["search_space"] not in ("tss", "sss"):
+    if rec["search_space"] not in _SPACES:
         raise ValueError(f"bad search_space {rec['search_space']!r}")
     if rec["stage"] not in STAGES:
         raise ValueError(f"bad stage {rec['stage']!r}")
@@ -112,15 +115,14 @@ def check_record(rec: dict) -> None:
             or _is_finite_real(value)):
         raise ValueError(f"value must be a finite real number, got "
                          f"{value!r}")
-    temp = rec.get("temperature")
-    if temp is not None and not (_is_finite_real(temp) and temp > 0):
-        raise ValueError(f"temperature must be None or a finite number "
-                         f"> 0, got {temp!r}")
+    if rec.get("temperature") is not None:
+        _check_positive("temperature", rec["temperature"])
 
 
 @dataclass
 class SuiteConfig:
-    """What to measure and how to tag the records."""
+    """What to measure and how to tag the records; a value ``run_suite``
+    would refuse is refused here, before any work."""
 
     bin_sizes: Tuple[int, ...] = DEFAULT_BIN_SIZES
     ood_inputs: Optional[Tuple[Sequence[float], Sequence[float]]] = None
@@ -134,13 +136,19 @@ class SuiteConfig:
     def __post_init__(self):
         sizes = tuple(self.bin_sizes)
         for b in sizes:
-            binning._check_m(b)
+            _check_count("bin count", b)
         if list(sizes) != sorted(set(sizes)):
             raise ValueError("bin sizes must be sorted and unique")
         self.bin_sizes = sizes
-        if self.ood_inputs is not None and len(self.ood_inputs) != 2:
-            raise ValueError("ood_inputs must hold exactly two "
-                             "confidence sequences")
+        if self.ood_inputs is not None:
+            if len(self.ood_inputs) != 2:
+                raise ValueError("ood_inputs must hold exactly two "
+                                 "confidence sequences")
+            self.ood_inputs = tuple(map(continuous._score_set,
+                                        self.ood_inputs))
+        # the record's own rules on the tags
+        MeasurementRecord(self.benchmark_dataset, self.search_space,
+                          self.arch_index, "nll", None, "pre", "test", 0.0)
 
 
 # each takes a stage's probabilities and its ``binning._top_label`` state
@@ -204,11 +212,7 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
         test_part = apply_temperature(test_part, temp)
         measure("post", test_part, temp.value)
     if config.ood_inputs is not None:
-        for tag, ood in zip(("a", "b"), config.ood_inputs):
-            neg = np.asarray(ood, dtype=np.float64)
-            if neg.ndim != 1 or neg.size == 0:
-                raise ValueError("ood confidence sets must be non-empty "
-                                 "1-D arrays")
+        for tag, neg in zip(("a", "b"), config.ood_inputs):
             records.append(rec(f"auroc_ood_{tag}", None, "pre",
                                continuous.auroc(pos, neg), None))
     return records
@@ -252,36 +256,31 @@ def write_records(records: Iterable[MeasurementRecord], path) -> int:
 _DECODER = json.JSONDecoder()
 
 
-def _parse_line(line: bytes) -> Optional[dict]:
-    """One records line as a checked dict, or None for a blank line."""
-    text = line.decode().strip()
-    if not text:
-        return None
-    rec, end = _DECODER.raw_decode(text)
-    if end != len(text):
-        raise ValueError(f"extra data at column {end + 1}")
-    check_record(rec)
-    rec.setdefault("temperature", None)
-    return rec
+def _checked_lines(path, lines: Iterable[bytes],
+                   first: int = 1) -> Iterator[Tuple[int, dict]]:
+    """(line number, checked dict) of each non-blank line of ``lines``,
+    numbered from ``first``; a missing temperature is set to None.  The
+    first bad line raises ValueError ``path:line: bad record: ...``."""
+    for lineno, line in enumerate(lines, start=first):
+        try:
+            text = line.decode().strip()
+            if not text:
+                continue
+            rec, end = _DECODER.raw_decode(text)
+            if end != len(text):
+                raise ValueError(f"extra data at column {end + 1}")
+            check_record(rec)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad record: {exc}") \
+                from None
+        rec.setdefault("temperature", None)
+        yield lineno, rec
 
 
 def iter_records(path) -> Iterator[dict]:
-    """Stream a records JSONL file as checked plain dicts, one per line.
-
-    Blank lines are skipped.  Every other line must be one UTF-8 JSON
-    object that passes ``check_record``; the first that does not raises
-    ValueError naming ``path:line``.  A missing ``temperature`` is set to
-    None.
-    """
+    """Stream a records file's checked dicts, read by ``_checked_lines``."""
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                rec = _parse_line(line)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad record: {exc}") \
-                    from None
-            if rec is not None:
-                yield rec
+        yield from (rec for _, rec in _checked_lines(path, fh))
 
 
 def metric_key(record) -> str:
@@ -374,10 +373,9 @@ def _fast_block(data: bytes, n: int, first: int,
     value = np.fromiter(map(float, values), np.float64, n)
     if not np.isfinite(value).all():
         return None
-    for temp in set(temps).difference((b"null",)):
-        if not 0.0 < float(temp) < math.inf:
-            return None
-    try:  # the spans not met before; UnicodeDecodeError is a ValueError
+    try:  # temperatures, new spans; UnicodeDecodeError is a ValueError
+        for temp in set(temps).difference((b"null",)):
+            _check_positive("temperature", float(temp))
         for span in set(datasets).difference(read.dataset_of):
             read.dataset_of[span] = read.dataset(span.decode())
         for span in set(kinds).difference(read.kind_of):
@@ -399,16 +397,13 @@ def _line_blocks(path, data: bytes, first: int,
     """The block's records read line by line; at the first bad line, the
     records before it, then ValueError naming that line."""
     rows, error = [], None
-    for lineno, line in enumerate(io.BytesIO(data), start=first):
-        try:
-            rec = _parse_line(line)
-        except (TypeError, ValueError) as exc:
-            error = ValueError(f"{path}:{lineno}: bad record: {exc}")
-            break
-        if rec is not None:
+    try:
+        for lineno, rec in _checked_lines(path, io.BytesIO(data), first):
             rows.append((lineno, rec["arch_index"], float(rec["value"]),
                          read.dataset(rec["benchmark_dataset"]),
                          read.kind(_kind_fields(rec), rec)))
+    except ValueError as exc:
+        error = exc
     if rows:
         yield tuple(map(np.array, zip(*rows), _BLOCK_DTYPES))
     if error is not None:

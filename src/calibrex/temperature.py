@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictions import PredictionSet, _check_logits, _softmax, _trusted
+from .predictions import (PredictionSet, _check_positive, _check_scores,
+                          _softmax, _trusted)
 
 T_MIN = 0.05
 T_MAX = 20.0
@@ -152,10 +153,8 @@ def _golden_section(nll_at) -> Temperature:
 def apply_temperature(preds: PredictionSet, temperature) -> PredictionSet:
     """Rescale logits by 1/T and softmax; output is always probabilities."""
     t = temperature.value if isinstance(temperature, Temperature) \
-        else float(temperature)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"temperature must be a finite positive number, "
-                         f"got {t!r}")
+        else temperature
+    _check_positive("temperature", t)
     z = _as_logits(preds) / t
-    _check_logits(z)  # huge logits over a small t overflow
+    _check_scores(z)  # huge logits over a small t overflow
     return _trusted(_softmax(z, out=z), preds.labels.copy(), True)

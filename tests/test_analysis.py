@@ -447,6 +447,11 @@ def test_hcs_degenerate_and_validation():
         hcs(0.9, -0.1)
     with pytest.raises(ValueError, match="beta"):
         hcs(0.9, 0.1, beta=0.0)
+    # True once read as 1, and "2" raised a TypeError
+    for bad in (True, "2", None):
+        with pytest.raises(ValueError, match="^beta must be a finite "
+                           "number > 0, got "):
+            hcs(0.5, 0.1, beta=bad)
 
 
 @pytest.mark.parametrize("acc, e", [

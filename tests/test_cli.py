@@ -318,7 +318,7 @@ def test_eval_ood_skips_blank_and_whitespace_lines(tmp_path, logits_file,
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_eval_seed_env_fallback(tmp_path, logits_file, monkeypatch):
+def test_eval_seed_env_fallback(tmp_path, logits_file, monkeypatch, capsys):
     flagged = str(tmp_path / "flag.jsonl")
     env = str(tmp_path / "env.jsonl")
     other = str(tmp_path / "other.jsonl")
@@ -330,6 +330,15 @@ def test_eval_seed_env_fallback(tmp_path, logits_file, monkeypatch):
     assert main(["eval", "--logits", logits_file, "--out", other]) == 0
     assert Path(flagged).read_bytes() == Path(env).read_bytes()
     assert Path(env).read_bytes() != Path(other).read_bytes()
+    # a negative seed is refused before a file is read: it once exited
+    # with numpy's bare "expected non-negative integer" after the read
+    capsys.readouterr()  # the runs above warn of a bound temperature
+    for argv, env_seed, bad in ((["--seed", "-1"], "7", -1), ([], "-2", -2)):
+        monkeypatch.setenv("CALIBREX_SEED", env_seed)
+        assert main(["eval", "--logits", str(tmp_path / "none.clbx"),
+                     *argv, "--out", other]) == 2
+        assert capsys.readouterr().err == \
+            f"error: seed must be an integer >= 0, got {bad}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +653,13 @@ def test_search_hcs_with_an_infinite_beta_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: beta must be a finite number > 0, got inf\n"
     assert not out.exists()
+    # refused before the benchmark is read
+    rc = main(["search", "--benchmark", str(tmp_path / "none.jsonl"),
+               "--objective", "hcs", "--beta", "0", "--budget", "10",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: beta must be a finite number > 0, got 0.0\n"
 
 
 def test_search_budget_over_space_exits_2(tmp_path, capsys):

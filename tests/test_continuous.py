@@ -528,3 +528,7 @@ def test_auroc_input_validation():
         auroc([], [1.0])
     with pytest.raises(ValueError, match="finite"):
         auroc([np.nan], [1.0])
+    # a 2-D set is refused, not flattened
+    for pos, neg in (([[0.5, 0.6]], [1.0]), ([0.5], [[1.0], [0.2]])):
+        with pytest.raises(ValueError, match="1-D"):
+            auroc(pos, neg)

@@ -205,10 +205,12 @@ def test_softmax_is_shift_stable():
 
 
 def test_softmax_rejects_bad_input():
-    with pytest.raises(ValueError, match="2-D"):
+    # the score-matrix rule and messages of PredictionSet
+    with pytest.raises(ValueError, match=r"^scores must be 2-D, got shape "
+                       r"\(3,\)$"):
         softmax(np.zeros(3))
-    with pytest.raises(ValueError, match="non-finite"):
-        softmax(np.array([[0.0, np.inf]]))
+    with pytest.raises(ValueError, match="^non-finite score in row 1$"):
+        softmax(np.array([[0.0, 1.0], [0.0, np.inf]]))
 
 
 def test_probabilities_passthrough_and_as_probabilities():
@@ -231,9 +233,20 @@ def test_probabilities_passthrough_and_as_probabilities():
 # ---------------------------------------------------------------------------
 
 def test_split_spec_validates_fraction():
-    for bad in (0.0, 1.0, -0.2, 1.5):
+    # "0.5" once raised a TypeError
+    for bad in (0.0, 1.0, -0.2, 1.5, np.nan, "0.5", None, True):
         with pytest.raises(ValueError, match="fraction"):
             SplitSpec(fraction=bad)
+
+
+def test_split_spec_validates_seed():
+    # None once drew OS entropy, True read as 1, and 1.5, "3" and -1
+    # failed only at split, with numpy's message
+    for bad in (None, True, 1.5, "3", -1):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"seed must be an integer >= 0, got {bad!r}") + "$"):
+            SplitSpec(seed=bad)
+    assert SplitSpec(seed=np.int64(3)) == SplitSpec(seed=3)
 
 
 def test_split_requires_five_samples():

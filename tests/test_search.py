@@ -12,6 +12,7 @@ from calibrex import (
     SssArch,
     TabularBenchmark,
     TssArch,
+    archspace,
     enumerate_tss,
     hcs,
     load_benchmark,
@@ -57,9 +58,19 @@ def test_tabular_benchmark_query_and_argmax():
         assert scores[best] == pytest.approx(want)
 
 
-def test_tabular_benchmark_validation():
-    with pytest.raises(ValueError, match="bad space"):
-        TabularBenchmark("cnn", {}, [])
+def test_tabular_benchmark_validation(monkeypatch):
+    for space in ("cnn", ["tss"]):
+        with pytest.raises(ValueError, match="bad space"):
+            TabularBenchmark(space, {}, [])
+
+    def build(*args):
+        raise AssertionError("an architecture was built")
+    # the synthetic benchmark refuses a bad space before it enumerates one
+    with monkeypatch.context() as patch:
+        patch.setattr(archspace, "TssArch", build)
+        patch.setattr(archspace, "SssArch", build)
+        with pytest.raises(ValueError, match="^bad space 'cnn'$"):
+            synth_benchmark("cnn")
     with pytest.raises(ValueError, match=r"'ece' has shape \(1,\), "
                        r"expected \(2,\)"):
         TabularBenchmark("tss", {"ece": [0.1]}, ["a", "b"])
@@ -87,6 +98,11 @@ def test_make_objective():
         hcs(0.9, 0.2, 2.0))
     with pytest.raises(ValueError, match="unknown objective"):
         make_objective("latency")
+    # a bad beta is refused when the objective is built, not when it scores
+    for bad in (0.0, np.inf, True, "2"):
+        with pytest.raises(ValueError, match="^beta must be a finite "
+                           "number > 0, got "):
+            make_objective("hcs", beta=bad)
     # any function of the metrics is an objective; searches pass columns
     bench = small_bench()
     scores = bench.scores(lambda m: -m["accuracy"])

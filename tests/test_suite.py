@@ -218,9 +218,9 @@ def test_ood_auroc_orders_confidence_sets():
 
 
 def test_ood_validation():
-    cfg = SuiteConfig(ood_inputs=(np.array([]), np.array([0.5])))
+    # refused by the config, before the split and the fit
     with pytest.raises(ValueError, match="non-empty"):
-        run_suite(make_preds(), cfg)
+        SuiteConfig(ood_inputs=(np.array([]), np.array([0.5])))
     with pytest.raises(ValueError, match="exactly two"):
         SuiteConfig(ood_inputs=(np.array([0.5]),))
 
@@ -234,6 +234,26 @@ def test_config_validation():
                            "positive integer, got "):
             SuiteConfig(bin_sizes=sizes)
     assert SuiteConfig(bin_sizes=(np.int64(5), 10)).bin_sizes == (5, 10)
+    # a NaN once failed after the fit, with auroc's message; a 2-D set
+    # was flattened
+    for ood in (([0.5, np.nan], [0.5]), ([0.5], [[0.5, 0.6]])):
+        with pytest.raises(ValueError, match="^a score set must be a "
+                           "non-empty 1-D array of finite numbers$"):
+            SuiteConfig(ood_inputs=ood)
+    cfg = SuiteConfig(ood_inputs=([0.5, 1], (0.25,)))
+    assert [a.dtype for a in cfg.ood_inputs] == [np.float64, np.float64]
+    # the record's rules on the tags, before any work: each once failed at
+    # the first record, after the split, the fit and the binned metrics
+    for tags, message in (({"search_space": "cnn"}, "bad search_space 'cnn'"),
+                          ({"arch_index": -1}, "arch_index must be an "
+                           "integer >= 0, got -1"),
+                          ({"arch_index": 1.5}, "arch_index must be an "
+                           "integer >= 0, got 1.5"),
+                          ({"benchmark_dataset": 5}, "benchmark_dataset must "
+                           "be a string, got 5")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SuiteConfig(**tags)
+    assert SuiteConfig(arch_index=np.int64(7)).arch_index == 7
 
 
 def test_record_validation():
@@ -321,8 +341,8 @@ GOOD_RECORD = dict(benchmark_dataset="d", search_space="tss", arch_index=4,
     ("metric", None, "metric must be a string"),
     ("benchmark_dataset", 5, "benchmark_dataset must be a string"),
     ("benchmark_dataset", {"a": 1}, "benchmark_dataset must be a string"),
-    ("temperature", "hot", "temperature must be None or a finite number"),
-    ("temperature", 0.0, "temperature must be None or a finite number"),
+    ("temperature", "hot", "temperature must be a finite number > 0"),
+    ("temperature", 0.0, "temperature must be a finite number > 0"),
 ])
 def test_read_records_rejects_bad_field_values(tmp_path, field, bad,
                                                message):

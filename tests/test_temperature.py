@@ -1,5 +1,6 @@
 """Tests for temperature fitting and application."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,10 +303,12 @@ def test_apply_on_probabilities_round_trips_at_identity():
 
 def test_apply_rejects_nonpositive_temperature():
     preds = planted_preds(1.0)
-    # inf once gave 1/K in every row, with no error
-    for bad in (0.0, -2.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="^temperature must be a "
-                           f"finite positive number, got {bad}$"):
+    # inf once gave 1/K in every row, with no error; "2" and True were
+    # read as 2.0 and 1.0
+    for bad in (0.0, -2.0, math.inf, math.nan, "2", True, None):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"temperature must be a finite number > 0, got {bad!r}")
+                + "$"):
             apply_temperature(preds, bad)
 
 
