@@ -1,8 +1,9 @@
 """Command-line interface: eval, correlate, search, enumerate, report.
 
 Every command is deterministic given its flags (CALIBREX_SEED supplies the
-seed when --seed is absent), writes outputs atomically via a temp file and
-rename, and exits 2 with a one-line "error: ..." message on failure.
+seed when --seed is absent), checks its flags before it opens an input,
+writes outputs atomically via a temp file and rename, and exits 2 with a
+one-line "error: ..." message on failure.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, archspace, search, suite
-from .predictions import (MAGIC, SplitSpec, read_csv_predictions,
-                          read_logits_file, read_rows)
+from .predictions import (MAGIC, SplitSpec, _check_count,
+                          read_csv_predictions, read_logits_file, read_rows)
 from .temperature import T_MAX, T_MIN, near_bound
 
 DEFAULT_BINS = ",".join(str(b) for b in suite.DEFAULT_BIN_SIZES)
@@ -27,7 +28,21 @@ DEFAULT_BINS = ",".join(str(b) for b in suite.DEFAULT_BIN_SIZES)
 def _resolve_seed(value) -> int:
     if value is not None:
         return value
-    return int(os.environ.get("CALIBREX_SEED", "0"))
+    text = os.environ.get("CALIBREX_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("CALIBREX_SEED must be an integer >= 0, got "
+                         f"{text!r}") from None
+
+
+def _numbers(flag: str, text: str, kind) -> list:
+    """A comma-separated flag value as a list of ``kind`` (int or float)."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated {kind.__name__}s, "
+                         f"got {text!r}") from None
 
 
 def _read_confidences(path: str) -> np.ndarray:
@@ -73,18 +88,18 @@ def cmd_eval(args) -> int:
         raise ValueError("OoD files belong to one model: --ood-in and "
                          "--ood-out need exactly one --logits, got "
                          f"{len(args.logits)}")
+    config = suite.SuiteConfig(
+        bin_sizes=_numbers("--bins", args.bins, int),
+        temperature_scale=args.temperature_scale,
+        split=SplitSpec(args.val_fraction, seed=_resolve_seed(args.seed)),
+        include_accuracy=args.include_accuracy, search_space=args.space)
     ood = None
     if args.ood_in is not None:
         ood = (_read_confidences(args.ood_in),
                _read_confidences(args.ood_out))
-    config = suite.SuiteConfig(
-        bin_sizes=[int(b) for b in args.bins.split(",")], ood_inputs=ood,
-        temperature_scale=args.temperature_scale,
-        split=SplitSpec(args.val_fraction, seed=_resolve_seed(args.seed)),
-        include_accuracy=args.include_accuracy, search_space=args.space)
     tasks = ((path, dataclasses.replace(
-        config, benchmark_dataset=Path(path).stem, arch_index=idx))
-        for idx, path in enumerate(args.logits))
+        config, benchmark_dataset=Path(path).stem, arch_index=idx,
+        ood_inputs=ood)) for idx, path in enumerate(args.logits))
     # one model's records at a time, in input order, into one atomic write
     if args.jobs > 1:
         import multiprocessing  # only a pool needs it
@@ -103,6 +118,8 @@ def cmd_eval(args) -> int:
 def cmd_correlate(args) -> int:
     if (args.top_k is None) != (args.by is None):
         raise ValueError("--top-k and --by must be given together")
+    if args.top_k is not None:
+        _check_count("k", args.top_k)  # top_k_by's rule, before the read
     table = analysis.read_table_csv(args.table)
     if args.top_k is not None:
         table = analysis.top_k_by(table, args.by, args.top_k)
@@ -121,16 +138,16 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    seed = _resolve_seed(args.seed)
+    config = search.SearchConfig(budget=args.budget,
+                                 seed=_resolve_seed(args.seed))
     objective = search.make_objective(args.objective, args.beta)
     if args.benchmark == "synthetic":
-        bench = search.synth_benchmark(args.space, seed=seed)
+        bench = search.synth_benchmark(args.space, seed=config.seed)
     else:
         bench = search.load_benchmark(args.benchmark)
         if bench.space != args.space:
             raise ValueError(f"benchmark is {bench.space}, "
                              f"--space says {args.space}")
-    config = search.SearchConfig(budget=args.budget, seed=seed)
     algo = {"rs": search.random_search, "re": search.regularized_evolution,
             "ls": search.local_search}[args.algo]
     result = algo(bench, objective, config)
@@ -171,11 +188,13 @@ def _bracket_labels(edges) -> list:
 
 
 def cmd_report(args) -> int:
+    if args.brackets is not None:
+        edges = _numbers("--brackets", args.brackets, float)
+        analysis.size_brackets([], edges)  # the edge rule, before the read
     space, table = suite.read_records(args.records)
     if args.brackets is None:
         labels, group = ["all"], np.zeros(table.n_rows, dtype=np.int64)
     else:
-        edges = [float(x) for x in args.brackets.split(",")]
         if space != "sss":
             raise ValueError("size brackets need sss records (model size is "
                              "the channel sum)")

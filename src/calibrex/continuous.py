@@ -221,8 +221,12 @@ def auroc(pos_scores, neg_scores) -> float:
     from two ``searchsorted`` calls on the sorted negatives, so it is an
     exact half-integer and the value is the area under the ROC curve.
     """
-    pos = _score_set(pos_scores)
-    neg = np.sort(_score_set(neg_scores))
+    return _auroc(_score_set(pos_scores), _score_set(neg_scores))
+
+
+def _auroc(pos: np.ndarray, neg: np.ndarray) -> float:
+    """``auroc`` of two checked score sets (see ``_score_set``)."""
+    neg = np.sort(neg)
     below = np.searchsorted(neg, pos, side="left").sum()
     not_above = np.searchsorted(neg, pos, side="right").sum()
     u = 0.5 * float(below + not_above)

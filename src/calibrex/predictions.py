@@ -51,6 +51,11 @@ def _check_count(name: str, x) -> None:
         raise ValueError(f"{name} must be a positive integer, got {x!r}")
 
 
+def _check_seed(x) -> None:
+    if not _is_int(x) or x < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {x!r}")
+
+
 @dataclass(frozen=True)
 class PredictionSet:
     """Immutable matrix of per-sample class scores plus integer labels.
@@ -217,9 +222,7 @@ class SplitSpec:
         if not (_is_finite_real(self.fraction) and 0.0 < self.fraction < 1.0):
             raise ValueError(f"fraction must lie in (0, 1), got "
                              f"{self.fraction!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got "
-                             f"{self.seed!r}")
+        _check_seed(self.seed)
 
 
 def _take(preds: PredictionSet, idx: np.ndarray) -> PredictionSet:

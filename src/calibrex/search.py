@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import MetricTable, NotFiniteError, hcs
 from .archspace import (SPACES, SSS_CHANNELS, TSS_OPS, SssArch, TssArch,
                         parse_arch, sss_string, tss_string)
-from .predictions import _check_count, _check_positive, _is_int
+from .predictions import _check_count, _check_positive, _check_seed, _is_int
 from .suite import (_SPACES, MeasurementRecord, atomic_output, read_records,
                     write_records)
 
@@ -207,6 +207,7 @@ class SearchConfig:
 
     def __post_init__(self):
         _check_count("budget", self.budget)
+        _check_seed(self.seed)
 
 
 @dataclass

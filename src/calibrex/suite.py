@@ -119,10 +119,11 @@ def check_record(rec: dict) -> None:
         _check_positive("temperature", rec["temperature"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
     """What to measure and how to tag the records; a value ``run_suite``
-    would refuse is refused here, before any work."""
+    would refuse is refused here, before any work, and ``run_suite`` does
+    not check it again (so the config and its OoD sets are read-only)."""
 
     bin_sizes: Tuple[int, ...] = DEFAULT_BIN_SIZES
     ood_inputs: Optional[Tuple[Sequence[float], Sequence[float]]] = None
@@ -139,13 +140,16 @@ class SuiteConfig:
             _check_count("bin count", b)
         if list(sizes) != sorted(set(sizes)):
             raise ValueError("bin sizes must be sorted and unique")
-        self.bin_sizes = sizes
+        object.__setattr__(self, "bin_sizes", sizes)
         if self.ood_inputs is not None:
             if len(self.ood_inputs) != 2:
                 raise ValueError("ood_inputs must hold exactly two "
                                  "confidence sequences")
-            self.ood_inputs = tuple(map(continuous._score_set,
-                                        self.ood_inputs))
+            ood = tuple(continuous._score_set(s).copy()
+                        for s in self.ood_inputs)
+            for s in ood:
+                s.setflags(write=False)
+            object.__setattr__(self, "ood_inputs", ood)
         # the record's own rules on the tags
         MeasurementRecord(self.benchmark_dataset, self.search_space,
                           self.arch_index, "nll", None, "pre", "test", 0.0)
@@ -214,7 +218,7 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
     if config.ood_inputs is not None:
         for tag, neg in zip(("a", "b"), config.ood_inputs):
             records.append(rec(f"auroc_ood_{tag}", None, "pre",
-                               continuous.auroc(pos, neg), None))
+                               continuous._auroc(pos, neg), None))
     return records
 
 

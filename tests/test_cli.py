@@ -341,6 +341,47 @@ def test_eval_seed_env_fallback(tmp_path, logits_file, monkeypatch, capsys):
             f"error: seed must be an integer >= 0, got {bad}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["--val-fraction", "1.5"], "fraction must lie in (0, 1), got 1.5"),
+    (["--bins", "0,5"], "bin count must be a positive integer, got 0"),
+])
+def test_eval_checks_its_flags_before_reading_ood_files(
+        tmp_path, logits_file, ood_files, capsys, flags, message):
+    # the OoD files were read first, so a missing one was named instead
+    out = tmp_path / "r.jsonl"
+    rc = main(["eval", "--logits", logits_file, "--ood-in",
+               str(tmp_path / "none.txt"), "--ood-out", ood_files[1],
+               *flags, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bins", ["5,x", "", "5,10.0"])
+def test_eval_bad_bins_name_the_flag(tmp_path, logits_file, capsys, bins):
+    # they once gave int()'s bare "invalid literal for int() with base 10"
+    rc = main(["eval", "--logits", str(tmp_path / "none.clbx"), "--bins",
+               bins, "--out", str(tmp_path / "r.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: --bins must be comma-separated ints, got {bins!r}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--logits", "none.clbx"],
+    ["search", "--benchmark", "none.jsonl", "--budget", "5"],
+])
+def test_a_bad_seed_variable_is_named(tmp_path, monkeypatch, capsys,
+                                      command):
+    # it once gave int()'s bare "invalid literal for int() with base 10"
+    monkeypatch.setenv("CALIBREX_SEED", "abc")
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--out", "r.json"]) == 2
+    assert capsys.readouterr().err == \
+        "error: CALIBREX_SEED must be an integer >= 0, got 'abc'\n"
+
+
 # ---------------------------------------------------------------------------
 # correlate
 # ---------------------------------------------------------------------------
@@ -424,6 +465,16 @@ def test_correlate_topk_exceeding_rows_exits_2(tmp_path, table_csv, capsys):
                "--by", "nll_pre", "--out", out])
     assert rc == 2
     assert "exceeds table size 8" in capsys.readouterr().err
+
+
+def test_correlate_checks_top_k_before_reading_the_table(tmp_path, capsys):
+    # the table was read first, so a missing one was named instead
+    rc = main(["correlate", "--table", str(tmp_path / "none.csv"),
+               "--top-k", "0", "--by", "nll_pre",
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: k must be a positive integer, got 0\n"
 
 
 def test_correlate_unknown_column_exits_2(tmp_path, table_csv, capsys):
@@ -662,6 +713,27 @@ def test_search_hcs_with_an_infinite_beta_exits_2(tmp_path, capsys):
         "error: beta must be a finite number > 0, got 0.0\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--budget", "0"], "budget must be a positive integer, got 0"),
+    (["--budget", "5", "--seed", "-1"],
+     "seed must be an integer >= 0, got -1"),
+])
+def test_search_checks_its_flags_before_the_benchmark(
+        tmp_path, monkeypatch, capsys, flags, message):
+    # the benchmark was read or built first: a missing file was named, and
+    # --seed -1 failed after the build with numpy's bare message
+    def build(*args, **kwargs):
+        raise AssertionError("synth_benchmark called before the flags "
+                             "were checked")
+
+    monkeypatch.setattr(calibrex.search, "synth_benchmark", build)
+    for bench in (str(tmp_path / "none.jsonl"), "synthetic"):
+        rc = main(["search", "--benchmark", bench, *flags,
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_search_budget_over_space_exits_2(tmp_path, capsys):
     archs = [a.to_string() for a in enumerate_tss()[:3]]
     metrics = {"accuracy": [0.5] * 3, "ece": [0.1] * 3}
@@ -859,6 +931,22 @@ def test_report_size_brackets_reject_a_nan_edge(tmp_path, capsys):
                "--brackets", "120,nan", "--out", str(out)])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("brackets, message", [
+    ("5,3", "edges must be finite, strictly increasing and non-empty"),
+    ("a,b", "--brackets must be comma-separated floats, got 'a,b'"),
+])
+def test_report_checks_brackets_before_reading_records(tmp_path, capsys,
+                                                       brackets, message):
+    # the records were read first, so a missing file was named instead;
+    # "a,b" once gave float()'s bare "could not convert string to float"
+    out = tmp_path / "report.csv"
+    rc = main(["report", "--records", str(tmp_path / "none.jsonl"),
+               "--brackets", brackets, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

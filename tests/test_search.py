@@ -368,6 +368,13 @@ def test_search_config_validation():
                            "integer, got "):
             SearchConfig(budget=bad)
     assert SearchConfig(budget=np.int64(3)).budget == 3
+    # None once drew OS entropy, so a search did not repeat, and -1
+    # failed at the first draw with numpy's message
+    for bad in (None, -1, True, 1.5, "3"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"seed must be an integer >= 0, got {bad!r}") + "$"):
+            SearchConfig(budget=3, seed=bad)
+    assert SearchConfig(budget=3, seed=np.int64(4)).seed == 4
 
 
 def test_search_result_to_dict_shape():

@@ -1,4 +1,5 @@
 """Tests for the measurement-suite runner and the JSONL record format."""
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -223,6 +224,36 @@ def test_ood_validation():
         SuiteConfig(ood_inputs=(np.array([]), np.array([0.5])))
     with pytest.raises(ValueError, match="exactly two"):
         SuiteConfig(ood_inputs=(np.array([0.5]),))
+
+
+def test_run_suite_checks_ood_sets_only_in_the_config(monkeypatch):
+    # run_suite once re-checked each set in auroc, after SuiteConfig had
+    calls = []
+
+    def counting(values):
+        calls.append(values)
+        return score_set(values)
+
+    score_set = continuous._score_set
+    monkeypatch.setattr(continuous, "_score_set", counting)
+    cfg = SuiteConfig(ood_inputs=ood_pair())
+    assert len(calls) == 2
+    records = run_suite(make_preds(), cfg)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    pos = as_probabilities(split(make_preds(), cfg.split)[1]).top_confidence()
+    assert [r.value for r in records if r.metric.startswith("auroc_ood")] \
+        == [continuous.auroc(pos, neg) for neg in cfg.ood_inputs]
+    # so the checked sets cannot change after the check: the config is
+    # frozen and holds read-only copies
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.ood_inputs = (np.array([np.nan]), np.array([0.5]))
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.ood_inputs[0][0] = np.nan
+    mine = np.array([0.5, 0.6])
+    cfg = SuiteConfig(ood_inputs=(mine, mine))
+    mine[0] = np.nan  # the caller's array is not the config's
+    assert cfg.ood_inputs[0].tolist() == [0.5, 0.6]
 
 
 def test_config_validation():
