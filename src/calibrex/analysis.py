@@ -60,8 +60,10 @@ class MetricTable:
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
-            raise KeyError(f"no column {name!r}; have "
-                           f"{sorted(self.columns)}")
+            import difflib  # only a miss pays its import
+            near = difflib.get_close_matches(name, self.columns, 5, 0)
+            raise KeyError(f"no column {name!r} among {len(self.columns)} "
+                           f"columns; nearest: {near}")
         return self.columns[name]
 
 

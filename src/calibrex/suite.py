@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -307,19 +308,21 @@ def _canonical_line():
     arch_index, the dataset's characters, the five kind fields,
     temperature and value.
 
-    Strings hold no escape, quote or control character, and a number is a
-    JSON float with a fraction or an exponent: json reads an integer as an
-    int, so ``-0`` is 0 where ``float`` gives -0.0, and such a line goes the
-    per-line route.  The dataset is a span of its own because ``eval``
-    gives each file its own: as part of the kind span, nearly every line
-    of its output would be a new span.
+    Only the dataset may hold escapes, as json writes a non-ASCII tag; no
+    string holds a bare quote or a control character.  A number is a JSON
+    float with a fraction or an exponent: json reads an integer as an int,
+    so ``-0`` is 0 where ``float`` gives -0.0, and such a line goes the
+    per-line route.  The dataset is a span of its own: ``eval`` tags each
+    file with its own, so in the kind span each file's kinds would be new.
     """
-    string = rb'"[^"\\\x00-\x1f]*"'
+    chars = rb'[^"\\\x00-\x1f]*'
+    string = rb'"' + chars + rb'"'
     exp = rb'[eE][-+]?[0-9]+'
     real = rb'-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:' + exp + rb')?|' + exp + rb')'
     return re.compile(
         rb'^\{"arch_index":(0|[1-9][0-9]{0,17}),'  # < 10**18 fits int64
-        rb'"benchmark_dataset":"([^"\\\x00-\x1f]*)",'
+        rb'"benchmark_dataset":"(' + chars +  # escapes, unrolled
+        rb'(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})' + chars + rb')*)",'
         rb'("bin_count":(?:null|[1-9][0-9]*),"metric":' + string +
         rb',"search_space":' + string + rb',"split":' + string +
         rb',"stage":' + string + rb'),"temperature":(null|' + real +
@@ -330,30 +333,24 @@ def _canonical_line():
 # and the dataset: how the line route spells a kind
 _kind_fields = operator.itemgetter("bin_count", "metric", "search_space",
                                    "split", "stage")
-# a block's columns: line, arch_index, value, and the dataset and kind codes
-_BLOCK_DTYPES = (np.int64, np.int64, np.float64, np.int32, np.int32)
+# a block's columns: line, arch_index, value and the kind code
+_BLOCK_DTYPES = (np.int64, np.int64, np.float64, np.int32)
 
 
 class _Read:
-    """The datasets and kinds one read has met, as insertion-ordered
-    ``value -> code`` dicts.
+    """The kinds one read has met, coded in the order met.
 
     A kind is what the pivot needs of a record: (is it sss, is it test,
     its column), where ``column(fields)`` numbers the record's cell, or
-    gives -1 for a cell not kept.  ``dataset_of`` and ``kind_of`` code
-    each spelling met -- a canonical span, or on the line route the
-    ``_kind_fields`` -- so each is resolved once.
+    gives -1 for a cell not kept.  ``kind_of`` codes each spelling met --
+    a canonical span, or on the line route the ``_kind_fields`` -- so each
+    is resolved once.
     """
 
     def __init__(self, column: Callable[[dict], int]):
         self.column = column
-        self.datasets: Dict[str, int] = {}
         self.kinds: Dict[Tuple[bool, bool, int], int] = {}
-        self.dataset_of: Dict[bytes, int] = {}
         self.kind_of: Dict[object, int] = {}
-
-    def dataset(self, name: str) -> int:
-        return self.datasets.setdefault(name, len(self.datasets))
 
     def kind(self, spelling, fields: dict) -> int:
         code = self.kind_of.get(spelling)
@@ -368,8 +365,8 @@ class _Read:
 def _fast_block(data: bytes, n: int, first: int,
                 read: _Read) -> Optional[tuple]:
     """The block's ``n`` lines as columns, or None unless every line is
-    canonical and passes ``check_record``.  Temperatures are checked but
-    not kept."""
+    canonical and passes ``check_record``.  Datasets and temperatures are
+    checked but not kept."""
     found = _canonical_line().findall(data)
     if len(found) != n:
         return None
@@ -377,11 +374,11 @@ def _fast_block(data: bytes, n: int, first: int,
     value = np.fromiter(map(float, values), np.float64, n)
     if not np.isfinite(value).all():
         return None
-    try:  # temperatures, new spans; UnicodeDecodeError is a ValueError
+    try:  # temperatures, spans; UnicodeDecodeError is a ValueError
         for temp in set(temps).difference((b"null",)):
             _check_positive("temperature", float(temp))
-        for span in set(datasets).difference(read.dataset_of):
-            read.dataset_of[span] = read.dataset(span.decode())
+        for span in set(datasets):  # strict UTF-8 before json's decode
+            _DECODER.decode('"' + span.decode() + '"')
         for span in set(kinds).difference(read.kind_of):
             fields = _DECODER.decode("{" + span.decode() + "}")
             check_record({**fields, "benchmark_dataset": "",
@@ -391,8 +388,6 @@ def _fast_block(data: bytes, n: int, first: int,
         return None
     return (np.arange(first, first + n),
             np.fromiter(map(int, archs), np.int64, n), value,
-            np.fromiter(map(read.dataset_of.__getitem__, datasets),
-                        np.int32, n),
             np.fromiter(map(read.kind_of.__getitem__, kinds), np.int32, n))
 
 
@@ -404,7 +399,6 @@ def _line_blocks(path, data: bytes, first: int,
     try:
         for lineno, rec in _checked_lines(path, io.BytesIO(data), first):
             rows.append((lineno, rec["arch_index"], float(rec["value"]),
-                         read.dataset(rec["benchmark_dataset"]),
                          read.kind(_kind_fields(rec), rec)))
     except ValueError as exc:
         error = exc
@@ -416,8 +410,7 @@ def _line_blocks(path, data: bytes, first: int,
 
 def _read_blocks(path, read: _Read) -> Iterator[tuple]:
     """Stream a records JSONL file as blocks of about ``BLOCK_BYTES`` of
-    whole lines, each as the ``_BLOCK_DTYPES`` columns, coding datasets
-    and kinds in ``read``.
+    whole lines, each as ``_BLOCK_DTYPES`` columns, kinds coded in ``read``.
 
     A block whose every line has the form ``write_records`` writes is
     matched by one pattern and checked on its columns.  Any other block
@@ -458,10 +451,10 @@ def read_records(path, keys: Optional[Sequence[str]] = None
     columns the ``metric_key`` names, only those in ``keys`` when given;
     only those cells and the test ``arch_index`` values are kept while
     reading.  Raises PivotError, naming ``path`` and the line where there
-    is one, for a second value of one cell, records of two search spaces,
-    a cell that one architecture lacks while another has it, and no test
-    records at all.  Of several faults, the first in file order is
-    raised.
+    is one, for a second value of one cell (whose dataset is read back
+    from that line), records of two search spaces, a cell that one
+    architecture lacks while another has it, and no test records at all.
+    Of several faults, the first in file order is raised.
     """
     names: Dict[str, int] = {}
 
@@ -473,7 +466,7 @@ def read_records(path, keys: Optional[Sequence[str]] = None
     read = _Read(column)
     space, archs, cells = None, [], []
     try:
-        for line, arch, value, dataset, kind in _read_blocks(path, read):
+        for line, arch, value, kind in _read_blocks(path, read):
             sss, test, key = np.array(list(read.kinds), np.int32)[kind].T
             if space is None:
                 space = bool(sss[0])
@@ -481,8 +474,7 @@ def read_records(path, keys: Optional[Sequence[str]] = None
             stop = other[0] if other.size else sss.size
             archs.append(np.unique(arch[:stop][test[:stop] == 1]))
             want = np.flatnonzero(key[:stop] >= 0)
-            cells.append((key[want], arch[want], value[want], line[want],
-                          dataset[want]))
+            cells.append((key[want], arch[want], value[want], line[want]))
             if other.size:
                 raise PivotError(f"{path}:{line[other[0]]}: records mix "
                                  f"search spaces {_SPACES[space]!r} and "
@@ -490,18 +482,22 @@ def read_records(path, keys: Optional[Sequence[str]] = None
         error = None
     except ValueError as exc:  # a bad line or a second space
         error = exc
-    key, arch, value, line, dataset = (np.concatenate(c) for c in zip(
-        *cells or [[np.empty(0, np.int64)] * 5]))
+    key, arch, value, line = (np.concatenate(c) for c in zip(
+        *cells or [[np.empty(0, np.int64)] * 4]))
+    del cells  # each column is held once, not twice
     order = np.lexsort((arch, key))  # stable: a cell's values in line order
-    key, arch, value, line, dataset = (c[order] for c in
-                                       (key, arch, value, line, dataset))
+    key, arch = key[order], arch[order]  # two at a time: fewer copies
+    value, line = value[order], line[order]
     again = np.flatnonzero((key[1:] == key[:-1]) & (arch[1:] == arch[:-1]))
     if again.size:  # the first line that gives a cell its second value
         i = 1 + again[np.argmin(line[1 + again])]
         name = next(n for n, k in names.items() if k == key[i])
+        with open(path, "rb") as fh:  # that line's record, read again
+            (_, rec), = _checked_lines(
+                path, itertools.islice(fh, line[i] - 1, line[i]), line[i])
         raise PivotError(f"{path}:{line[i]}: second value for {name} at "
                          f"arch_index {arch[i]} (benchmark_dataset "
-                         f"{list(read.datasets)[dataset[i]]!r})")
+                         f"{rec['benchmark_dataset']!r})")
     if error is not None:
         raise error
     rows = np.unique(np.concatenate(archs or [arch]))

@@ -332,6 +332,15 @@ def test_metric_table_validation_and_lookup():
     assert t.column("acc").tolist() == [0.9, 0.8, 0.9, 0.7]
     with pytest.raises(KeyError, match="no column 'loss'"):
         t.column("loss")
+    # a miss names five near columns, not all of a wide table's
+    wide = MetricTable([0], {f"{m}_{b}_{stage}": [0.1]
+                             for m in ("ece", "mce") for b in (5, 15, 50, 500)
+                             for stage in ("pre", "post")})
+    with pytest.raises(KeyError) as info:
+        wide.column("ece_15_pr")
+    assert info.value.args[0] == (
+        "no column 'ece_15_pr' among 16 columns; nearest: ['ece_15_pre', "
+        "'ece_5_pre', 'mce_15_pre', 'ece_50_pre', 'ece_500_pre']")
     with pytest.raises(ValueError, match="shape"):
         MetricTable(np.array([1, 2]), {"x": np.array([1.0])})
 

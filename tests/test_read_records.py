@@ -116,8 +116,10 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
     """One to three byte edits, after a line edit half of the time."""
     lines = data.splitlines(keepends=True)
     i, kind = rng.randrange(len(lines)), rng.random()
-    if kind < 0.15:  # a second value, or a cell of another architecture
-        lines.insert(rng.randrange(len(lines)), lines[i])
+    if kind < 0.15:  # a second value, or a cell of another architecture,
+        # tagged with another dataset, after zero to two blank lines
+        lines.insert(rng.randrange(len(lines)), b"\n" * rng.randrange(3) +
+                     lines[i].replace(b'"d"', b'"e"'))
     elif kind < 0.3:
         del lines[i]
     elif kind < 0.5:
@@ -206,19 +208,20 @@ def test_canonical_variants_take_the_column_route(tmp_path, monkeypatch):
                                           "value": value})
     path = tmp_path / "r.jsonl"
     write_records(records, path)
-    # json escapes it; another writer may not
-    path.write_text(path.read_text().replace("\\u00e9", "é"),
-                    encoding="utf-8")
-    assert "café" in path.read_text(encoding="utf-8")
-    want = outcome(oracle_pivot, path, None)
+    escaped = path.read_text()
+    assert "caf\\u00e9" in escaped  # json escapes it
 
     def fail(*args):
         raise AssertionError("a canonical block was read line by line")
 
     monkeypatch.setattr(suite, "_line_blocks", fail)
-    assert outcome(read_records, path, None) == want
-    _, table = read_records(path)
-    assert np.signbit(table.columns[metric_key(records[1])][0])
+    # as json writes it, and as another writer may
+    for text in (escaped, escaped.replace("\\u00e9", "é")):
+        path.write_text(text, encoding="utf-8")
+        assert outcome(read_records, path, None) == \
+            outcome(oracle_pivot, path, None)
+        _, table = read_records(path)
+        assert np.signbit(table.columns[metric_key(records[1])][0])
 
 
 def test_block_boundaries(canonical, monkeypatch):
@@ -251,6 +254,12 @@ def test_the_first_fault_in_the_file_is_raised(canonical):
     # a bad line before the repeat
     canonical.write_text("".join(lines[:3] + [bad, again] + lines[3:]))
     assert "4: bad record" in assert_same(canonical)
+    # blank lines before a repeat: its own line and dataset are named
+    canonical.write_text("".join(lines[:3] + ["\n", "\n", again] +
+                                 lines[3:]))
+    message = assert_same(canonical)
+    assert "6: second value" in message
+    assert message.endswith("(benchmark_dataset 'again')")
     # of two repeated cells, the one whose second value comes first
     twice = [lines[4].replace('"d"', '"x"'), lines[1].replace('"d"', '"y"')]
     canonical.write_text("".join(lines[:6] + twice + lines[6:]))
@@ -303,9 +312,17 @@ def test_load_benchmark_streams_the_records(tmp_path):
     try:
         bench = load_benchmark(str(path))
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        read_records(path)  # every cell, no keys
+        per_line = (tracemalloc.get_traced_memory()[1] - held) / n_lines
     finally:
         tracemalloc.stop()
     assert len(bench) == 800
     # a few blocks at a time, where a whole-file read holds over 12 MiB;
-    # the per-line read peaked at 0.3 MB, the block read at 4.7 MiB
+    # the per-line read peaked at 0.3 MB, the block read at 4.0-4.9 MiB
     assert peak < 8 * 2**20, peak
+    # each kept cell holds its column, arch_index, value and line (28 B),
+    # sorted once; this read peaks at 73.6 B/line, 106.1 with a dataset
+    # code per cell and every column held twice
+    assert per_line < 90, per_line
