@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .predictions import (_check_count, _check_positive, read_header,
-                          read_rows)
+from .predictions import (_check_count, _check_index, _check_positive,
+                          atomic_output, read_header, read_rows)
 
 
 class NotFiniteError(ValueError):
@@ -36,6 +36,9 @@ class MetricTable:
     columns: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        # as objects, a float or bool array's entries stay floats or bools
+        for x in np.asarray(self.arch_index, dtype=object).ravel():
+            _check_index("arch_index", x)
         self.arch_index = np.asarray(self.arch_index, dtype=np.int64)
         n = self.arch_index.size
         srt = np.sort(self.arch_index, axis=None)
@@ -345,7 +348,7 @@ def read_table_csv(path) -> MetricTable:
 
 def write_table_csv(table: MetricTable, path) -> None:
     names = sorted(table.columns)
-    with open(path, "w", newline="") as fh:
+    with atomic_output(path) as fh:
         w = csv.writer(fh)
         w.writerow(["arch_index"] + names)
         for i in range(table.n_rows):
@@ -354,7 +357,7 @@ def write_table_csv(table: MetricTable, path) -> None:
 
 
 def write_matrix_csv(names: Sequence[str], matrix: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_output(path) as fh:
         w = csv.writer(fh)
         w.writerow(["metric"] + list(names))
         for i, name in enumerate(names):

@@ -43,7 +43,6 @@ def _top_label(preds: PredictionSet):
     confidences and the hits' are sorted apart and laid end to end, and a
     stable argsort of those two runs merges them (ties keep misses first).
     """
-    _require_probs(preds)
     pred = preds.predicted_class()
     conf = preds.scores[np.arange(preds.n_samples), pred]
     is_hit = pred == preds.labels
@@ -105,7 +104,6 @@ def _binned_errors(preds: PredictionSet, top, classwise: bool, bin_counts,
     depend on that row alone, so a row gives the same bits whatever other
     rows or bin counts share the call.
     """
-    _require_probs(preds)
     n = preds.n_samples
     hits, hit_count = [], []
     if top is not None:
@@ -196,6 +194,7 @@ def _binned(preds: PredictionSet, bins: int, scheme: str, classwise: bool,
     _check_count("bin count", bins)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    _require_probs(preds)
     top = None if classwise else _top_label(preds)
     errors = _binned_errors(preds, top, classwise, (bins,), p)
     return float(np.mean(errors[scheme, bins][statistic]))

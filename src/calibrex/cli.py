@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, archspace, search, suite
-from .predictions import (MAGIC, SplitSpec, _check_count,
+from .predictions import (MAGIC, SplitSpec, _check_count, atomic_output,
                           read_csv_predictions, read_logits_file, read_rows)
 from .temperature import T_MAX, T_MIN, near_bound
 
@@ -131,8 +131,7 @@ def cmd_correlate(args) -> int:
             if (values == values[0]).all():
                 print(f"warning: {args.table}: column {name!r} is constant, "
                       "so its tau-b row and column are nan", file=sys.stderr)
-    with suite.atomic_output(args.out) as tmp:
-        analysis.write_matrix_csv(names, mat, tmp)
+    analysis.write_matrix_csv(names, mat, args.out)
     print(f"{len(names)}x{len(names)} correlation matrix written")
     return 0
 
@@ -151,7 +150,7 @@ def cmd_search(args) -> int:
     algo = {"rs": search.random_search, "re": search.regularized_evolution,
             "ls": search.local_search}[args.algo]
     result = algo(bench, objective, config)
-    with suite.atomic_output(args.out) as tmp, open(tmp, "w") as fh:
+    with atomic_output(args.out) as fh:
         json.dump(result.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     shown = result.best_value * 100.0 if args.percent else result.best_value
@@ -171,7 +170,7 @@ def cmd_enumerate(args) -> int:
             firsts.setdefault(archspace.canonical_fingerprint(a), a)
         archs = firsts.values()
     lines = [a.to_string() for a in archs]
-    with suite.atomic_output(args.out) as tmp, open(tmp, "w") as fh:
+    with atomic_output(args.out) as fh:
         fh.writelines(line + "\n" for line in lines)
     print(f"{len(lines)} architectures written")
     return 0
@@ -209,18 +208,17 @@ def cmd_report(args) -> int:
     groups = [(label, group == g) for g, label in enumerate(labels)
               if (group == g).any()]
     scale = 100.0 if args.percent else 1.0
-    with suite.atomic_output(args.out) as tmp:
-        with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["metric", "group", "n", "median", "q1", "q3",
-                        "whisker_lo", "whisker_hi", "n_outliers"])
-            for metric, values in table.columns.items():
-                for label, members in groups:
-                    s = analysis.boxplot_stats(values[members])
-                    w.writerow([metric, label, s.n] +
-                               [repr(v * scale) for v in
-                                (s.median, s.q1, s.q3, s.whisker_lo,
-                                 s.whisker_hi)] + [s.n_outliers])
+    with atomic_output(args.out) as fh:
+        w = csv.writer(fh)
+        w.writerow(["metric", "group", "n", "median", "q1", "q3",
+                    "whisker_lo", "whisker_hi", "n_outliers"])
+        for metric, values in table.columns.items():
+            for label, members in groups:
+                s = analysis.boxplot_stats(values[members])
+                w.writerow([metric, label, s.n] +
+                           [repr(v * scale) for v in
+                            (s.median, s.q1, s.q3, s.whisker_lo,
+                             s.whisker_hi)] + [s.n_outliers])
     print(f"{len(table.columns) * len(groups)} boxes written")
     return 0
 

@@ -43,6 +43,7 @@ def ksce(preds: PredictionSet) -> float:
     Max absolute difference between the cumulative sums of correctness and
     confidence, in confidence order, scaled by 1/N.
     """
+    _require_probs(preds)
     return _ksce(*_top_label(preds))
 
 

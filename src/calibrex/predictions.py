@@ -7,8 +7,10 @@ int32 labels, and a CSV format with header ``label,s0,...,s{K-1}``.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 import re
 import struct
 import warnings
@@ -54,6 +56,33 @@ def _check_count(name: str, x) -> None:
 def _check_seed(x) -> None:
     if not _is_int(x) or x < 0:
         raise ValueError(f"seed must be an integer >= 0, got {x!r}")
+
+
+def _check_index(name: str, x) -> None:
+    # the range of every reader's int64 columns; a plain int skips _is_int
+    if not (type(x) is int or _is_int(x)) or not 0 <= x < 2**63:
+        raise ValueError(f"{name} must be an integer >= 0 and < 2**63, "
+                         f"got {x!r}")
+
+
+@contextlib.contextmanager
+def atomic_output(path):
+    """Yield a text file (``newline=""``) that replaces ``path`` on success.
+
+    It is a new ``.tmp`` file beside ``path``, made with mode 0o666 less
+    the umask, as ``open(path, "w")`` would be, and removed on an error."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the output, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with open(fd, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -299,7 +328,7 @@ def read_logits_file(path) -> PredictionSet:
 # ---------------------------------------------------------------------------
 
 def write_csv_predictions(path, preds: PredictionSet) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_output(path) as fh:
         w = csv.writer(fh)
         w.writerow(["label"] + [f"s{i}" for i in range(preds.n_classes)])
         for y, row in zip(preds.labels, preds.scores):

@@ -19,9 +19,9 @@ import numpy as np
 from .analysis import MetricTable, NotFiniteError, hcs
 from .archspace import (SPACES, SSS_CHANNELS, TSS_OPS, SssArch, TssArch,
                         parse_arch, sss_string, tss_string)
-from .predictions import _check_count, _check_positive, _check_seed, _is_int
-from .suite import (_SPACES, MeasurementRecord, atomic_output, read_records,
-                    write_records)
+from .predictions import (_check_count, _check_index, _check_positive,
+                          _check_seed, atomic_output)
+from .suite import _SPACES, MeasurementRecord, read_records, write_records
 
 OBJECTIVES = ("acc", "ece", "hcs")
 # the bin count of the ECE a benchmark file gives its architectures
@@ -137,8 +137,7 @@ def write_benchmark(bench: TabularBenchmark, records_path: str) -> None:
                                  "pre", "test", bench.metrics[metric][i])
                for i in range(len(bench)) for metric, bins in cells]
     write_records(records, records_path)
-    with atomic_output(default_index_path(records_path)) as tmp, \
-            open(tmp, "w") as fh:
+    with atomic_output(default_index_path(records_path)) as fh:
         json.dump({a: i for i, a in enumerate(bench.archs)}, fh,
                   sort_keys=True)
 
@@ -162,9 +161,7 @@ def _read_index(index_path: str) -> Dict[int, str]:
                          "arch: arch_index")
     by_index: Dict[int, str] = {}
     for arch, i in index.items():
-        if not _is_int(i) or i < 0:
-            raise ValueError(f"{index_path}: arch_index of {arch!r} must be "
-                             f"an integer >= 0, got {i!r}")
+        _check_index(f"{index_path}: arch_index of {arch!r}", i)
         if i in by_index:
             raise ValueError(f"{index_path}: {by_index[i]!r} and {arch!r} "
                              f"share arch_index {i}")

@@ -7,16 +7,13 @@ stages (10), and, when out-of-distribution confidence sets are supplied,
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import itertools
 import json
 import math
 import operator
-import os
 import re
-import tempfile
 from dataclasses import dataclass, field, fields
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -27,8 +24,8 @@ from . import binning, continuous
 from .analysis import MetricTable
 from .archspace import SPACES
 from .predictions import (PredictionSet, SplitSpec, _check_count,
-                          _check_positive, _is_finite_real, _is_int,
-                          as_probabilities, split)
+                          _check_index, _check_positive, _is_finite_real,
+                          _is_int, as_probabilities, atomic_output, split)
 from .temperature import apply_temperature, fit_temperature
 
 DEFAULT_BIN_SIZES = (5, 10, 15, 20, 25, 50, 100, 200, 500)
@@ -101,9 +98,7 @@ def check_record(rec: dict) -> None:
         raise ValueError(f"bad stage {rec['stage']!r}")
     if rec["split"] not in SPLITS:
         raise ValueError(f"bad split {rec['split']!r}")
-    arch = rec["arch_index"]
-    if type(arch) is not int and not _is_int(arch) or arch < 0:
-        raise ValueError(f"arch_index must be an integer >= 0, got {arch!r}")
+    _check_index("arch_index", rec["arch_index"])
     bins = rec["bin_count"]
     if (rec["metric"] in BIN_METRICS) != (bins is not None):
         raise ValueError("bin_count must be present exactly for "
@@ -223,35 +218,11 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
     return records
 
 
-@contextlib.contextmanager
-def atomic_output(path):
-    """Yield a temp path beside ``path``; rename it onto ``path`` on success.
-
-    The file gets the mode a plain ``open(path, "w")`` would give
-    (0o666 less the umask), not the 0o600 of ``mkstemp``.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    except OSError as exc:  # name the output, not the temp file
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    os.close(fd)
-    try:
-        yield tmp
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def write_records(records: Iterable[MeasurementRecord], path) -> int:
     """Write records as JSONL as they come, atomically (write temp file,
     then rename); returns how many were written."""
     count = 0
-    with atomic_output(path) as tmp, open(tmp, "w") as fh:
+    with atomic_output(path) as fh:
         for count, r in enumerate(records, start=1):
             fh.write(json.dumps(r.to_dict(), sort_keys=True,
                                 separators=(",", ":")) + "\n")

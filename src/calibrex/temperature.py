@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .continuous import PROB_FLOOR
 from .predictions import (PredictionSet, _check_positive, _check_scores,
                           _softmax, _trusted)
 
@@ -46,7 +47,7 @@ def near_bound(t: float) -> bool:
 
 def _as_logits(preds: PredictionSet) -> np.ndarray:
     if preds.is_probabilities:
-        z = np.maximum(preds.scores, 1e-12)
+        z = np.maximum(preds.scores, PROB_FLOOR)
         return np.log(z, out=z)
     return preds.scores
 

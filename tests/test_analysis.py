@@ -343,6 +343,16 @@ def test_metric_table_validation_and_lookup():
         "'ece_5_pre', 'mce_15_pre', 'ece_50_pre', 'ece_500_pre']")
     with pytest.raises(ValueError, match="shape"):
         MetricTable(np.array([1, 2]), {"x": np.array([1.0])})
+    # an arch_index is refused, never coerced: [0.5, 1.7, -3] once became
+    # [0, 1, -3], and bools passed
+    for bad, shown in (([0.5, 1.7], "0.5"), ([-3, 1], "-3"),
+                       ([True, False], "True"), ([1, True], "True"),
+                       ([2**63], str(2**63)), (np.array([1.0]), "1.0")):
+        with pytest.raises(ValueError, match=r"^arch_index must be an "
+                           rf"integer >= 0 and < 2\*\*63, got {shown}$"):
+            MetricTable(bad)
+    for good in ([], range(3), np.arange(3), [np.int64(4), 2]):
+        assert MetricTable(good).arch_index.dtype == np.int64
 
 
 def test_correlation_matrix_properties():

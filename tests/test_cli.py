@@ -19,9 +19,11 @@ from calibrex import (
     enumerate_tss,
     metric_key,
     read_records,
+    read_table_csv,
     write_benchmark,
     write_csv_predictions,
     write_logits_file,
+    write_matrix_csv,
     write_records,
     write_table_csv,
 )
@@ -514,6 +516,8 @@ def test_correlate_rejects_malformed_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body, where", [
+    ("-1,0.5,1\n1,0.25,2\n", "arch_index must be an integer >= 0 and "
+     "< 2**63, got -1"),  # once correlated as an architecture
     ("0,0.5,1\n1,0.25\n", "2 were found"),          # short row
     ("0,0.5,1\n1,0.25,2,3\n", "4 were found"),      # extra cell
     ("0,0.5,1\n1,0.25,abc\n", "'abc'"),             # non-numeric cell
@@ -524,8 +528,8 @@ def test_correlate_rejects_malformed_table(tmp_path, capsys):
      "can't decode byte 0xff"),
     # once read as a 2x2 matrix over the second "a" and "b"
     ("0,0.5,1,2\n1,0.25,2,1\n", "line 1: column 'a' is repeated"),
-], ids=["short-row", "extra-cell", "non-numeric", "float-index", "no-rows",
-        "not-utf8", "repeated-name"])
+], ids=["negative-index", "short-row", "extra-cell", "non-numeric",
+        "float-index", "no-rows", "not-utf8", "repeated-name"])
 def test_correlate_bad_table_exits_2_with_one_line(tmp_path, capsys, body,
                                                    where):
     bad = tmp_path / "bad.csv"
@@ -923,6 +927,15 @@ def test_report_size_brackets_require_sss(tmp_path, logits_file, capsys):
     assert rc == 2
     assert "sss" in capsys.readouterr().err
     assert not out.exists()
+    # an arch_index past the 32,768 sss points has no model size
+    write_records([MeasurementRecord("d", "sss", 32_768, "ece", 15, "pre",
+                                     "test", 0.1)], records)
+    rc = main(["report", "--records", records, "--brackets", "120",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: arch_index 32768 outside the sss space\n"
+    assert not out.exists()
 
 
 def test_report_size_brackets_reject_a_nan_edge(tmp_path, capsys):
@@ -977,13 +990,16 @@ def test_report_rerun_is_byte_identical(tmp_path):
 def test_report_bad_record_names_the_line(tmp_path, capsys):
     records = tmp_path / "r.jsonl"
     rec = MeasurementRecord("d", "tss", 0, "ece", 15, "pre", "test", 0.1)
-    line = json.dumps({**rec.to_dict(), "arch_index": "0"})
-    records.write_text(json.dumps(rec.to_dict()) + "\n" + line + "\n")
-    rc = main(["report", "--records", str(records),
-               "--out", str(tmp_path / "r.csv")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: {records}:2: bad record: arch_index must be an integer")
+    # 2**63 once escaped as an OverflowError from the int64 column
+    for bad in ("0", 2**63):
+        line = json.dumps({**rec.to_dict(), "arch_index": bad})
+        records.write_text(json.dumps(rec.to_dict()) + "\n" + line + "\n")
+        rc = main(["report", "--records", str(records),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {records}:2: bad record: arch_index must be an integer "
+            f">= 0 and < 2**63, got {bad!r}\n")
 
 
 def test_search_names_a_string_arch_index(tmp_path, capsys):
@@ -992,13 +1008,17 @@ def test_search_names_a_string_arch_index(tmp_path, capsys):
     bench_path = tmp_path / "bench.jsonl"
     write_benchmark(TabularBenchmark(
         "tss", {"accuracy": [0.5], "ece": [0.1]}, [arch]), str(bench_path))
-    bench_path.write_text(bench_path.read_text().replace(
-        '"arch_index":0', '"arch_index":"0"'))
-    rc = main(["search", "--benchmark", str(bench_path), "--budget", "1",
-               "--out", str(tmp_path / "r.json")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: {bench_path}:1: bad record: arch_index must be an integer")
+    good = bench_path.read_text()
+    # 2**63 once escaped as an OverflowError from the int64 column
+    for bad in ("0", 2**63):
+        bench_path.write_text(good.replace(
+            '"arch_index":0', f'"arch_index":{json.dumps(bad)}'))
+        rc = main(["search", "--benchmark", str(bench_path), "--budget", "1",
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bench_path}:1: bad record: arch_index must be an "
+            f"integer >= 0 and < 2**63, got {bad!r}\n")
 
 
 def test_search_on_pooled_evals_names_the_repeated_cell(tmp_path, capsys):
@@ -1090,21 +1110,54 @@ def test_cli_start_does_not_import_multiprocessing():
     assert "multiprocessing" not in cli_start_modules()
 
 
-def test_outputs_get_the_umask_mode(tmp_path, logits_file):
+def write_every_output(tmp_path, logits_file, table_csv):
+    """Run every command and every text writer once; the files written."""
+    out = tmp_path / "out"
+    out.mkdir()
+    write_benchmark(TabularBenchmark(
+        "tss", {"accuracy": [0.5, 0.6], "ece": [0.1, 0.2]},
+        [a.to_string() for a in enumerate_tss()[:2]]),
+        str(out / "bench.jsonl"))
+    write_records([MeasurementRecord("d", "tss", 0, "nll", None, "pre",
+                                     "test", 0.5)], out / "records.jsonl")
+    write_table_csv(read_table_csv(table_csv), out / "table.csv")
+    write_matrix_csv(["a"], np.eye(1), out / "matrix.csv")
+    write_csv_predictions(out / "preds.csv", make_preds())
+    for argv in (["eval", "--logits", logits_file, "--out", "eval.jsonl"],
+                 ["correlate", "--table", table_csv, "--out", "corr.csv"],
+                 ["search", "--benchmark", out / "bench.jsonl",
+                  "--budget", "1", "--out", "search.json"],
+                 ["enumerate", "--out", "cells.txt"],
+                 ["report", "--records", out / "eval.jsonl",
+                  "--out", "report.csv"]):
+        argv[-1] = out / argv[-1]
+        assert main([str(a) for a in argv]) == 0
+    return sorted(out.iterdir())
+
+
+def test_outputs_leave_the_umask_alone(tmp_path, logits_file, table_csv,
+                                       monkeypatch):
+    # the umask belongs to the whole process: reading it by setting it to 0
+    # once gave 0o666 files to another thread that created one meanwhile
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    outputs = write_every_output(tmp_path, logits_file, table_csv)
+    assert [p.suffix for p in outputs].count(".tmp") == 0
+    assert len(outputs) == 11
+
+
+def test_outputs_get_the_umask_mode(tmp_path, logits_file, table_csv):
     old = os.umask(0o022)
     try:
         plain = tmp_path / "plain.txt"
         with open(plain, "w"):
             pass
-        records = tmp_path / "records.jsonl"
-        cells = tmp_path / "cells.txt"
-        assert main(["eval", "--logits", logits_file,
-                     "--out", str(records)]) == 0
-        assert main(["enumerate", "--space", "tss",
-                     "--out", str(cells)]) == 0
+        outputs = write_every_output(tmp_path, logits_file, table_csv)
     finally:
         os.umask(old)
     expected = stat.S_IMODE(plain.stat().st_mode)
     assert expected == 0o644
-    assert stat.S_IMODE(records.stat().st_mode) == expected
-    assert stat.S_IMODE(cells.stat().st_mode) == expected
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in outputs} == \
+        {p.name: expected for p in outputs}

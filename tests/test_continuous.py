@@ -10,17 +10,22 @@ import pytest
 
 from calibrex import (
     PredictionSet,
+    as_probabilities,
     auroc,
     brier,
+    cwce,
+    cwce_em,
     ece,
+    ece_em,
     kdece,
     ksce,
     lp_ce,
+    mce,
     mmce,
     nll,
     silverman_bandwidth,
 )
-from calibrex import continuous
+from calibrex import binning, continuous
 from calibrex.binning import _top_label
 from calibrex.continuous import KDE_BW_MAX, KDE_BW_MIN, MMCE_BANDWIDTH, PROB_FLOOR
 
@@ -175,6 +180,35 @@ def test_requires_probability_inputs():
     for fn in (nll, brier, ksce, mmce, kdece, lambda p: lp_ce(p, 1.5, 10)):
         with pytest.raises(ValueError, match="as_probabilities"):
             fn(logits)
+
+
+METRIC_CALLS = {"ece": lambda p: ece(p, 10),
+                "ece_em": lambda p: ece_em(p, 10),
+                "mce": lambda p: mce(p, 10), "cwce": lambda p: cwce(p, 10),
+                "cwce_em": lambda p: cwce_em(p, 10),
+                "lp_ce": lambda p: lp_ce(p, 1.5, 10), "nll": nll,
+                "brier": brier, "ksce": ksce, "mmce": mmce, "kdece": kdece}
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_CALLS))
+def test_each_metric_checks_for_probabilities_once(name, monkeypatch):
+    logits = PredictionSet([[1.0, -1.0], [0.5, 0.5], [2.0, 0.0],
+                            [0.0, 1.0], [1.0, 3.0]], [0, 1, 0, 1, 1])
+    with pytest.raises(ValueError, match=r"^expected a probability "
+                       r"PredictionSet; convert logits with "
+                       r"as_probabilities\(\) first$"):
+        METRIC_CALLS[name](logits)
+    calls = []
+    check = binning._require_probs
+
+    def counted(preds):
+        calls.append(preds)
+        check(preds)
+
+    monkeypatch.setattr(binning, "_require_probs", counted)
+    monkeypatch.setattr(continuous, "_require_probs", counted)
+    METRIC_CALLS[name](as_probabilities(logits))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

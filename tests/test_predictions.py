@@ -233,8 +233,8 @@ def test_probabilities_passthrough_and_as_probabilities():
 # ---------------------------------------------------------------------------
 
 def test_split_spec_validates_fraction():
-    # "0.5" once raised a TypeError
-    for bad in (0.0, 1.0, -0.2, 1.5, np.nan, "0.5", None, True):
+    # "0.5" once raised a TypeError; 10**400 is too large for a float
+    for bad in (0.0, 1.0, -0.2, 1.5, np.nan, "0.5", None, True, 10**400):
         with pytest.raises(ValueError, match="fraction"):
             SplitSpec(fraction=bad)
 

@@ -284,6 +284,7 @@ def test_load_benchmark_rejects_what_it_once_dropped(tmp_path, case):
     ({"ARCH": 0, "OTHER": 0}, "'ARCH' and 'OTHER' share arch_index 0"),
     (["ARCH"], "not a JSON object"),
     ("{", "not a JSON index"),
+    ({"ARCH": 2**63}, "arch_index of 'ARCH' must be an integer >= 0"),
 ])
 def test_load_benchmark_names_the_bad_index(tmp_path, index, message):
     from calibrex import MeasurementRecord, write_records

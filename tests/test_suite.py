@@ -277,9 +277,11 @@ def test_config_validation():
     # the first record, after the split, the fit and the binned metrics
     for tags, message in (({"search_space": "cnn"}, "bad search_space 'cnn'"),
                           ({"arch_index": -1}, "arch_index must be an "
-                           "integer >= 0, got -1"),
+                           "integer >= 0 and < 2**63, got -1"),
                           ({"arch_index": 1.5}, "arch_index must be an "
-                           "integer >= 0, got 1.5"),
+                           "integer >= 0 and < 2**63, got 1.5"),
+                          ({"arch_index": 2**63}, "arch_index must be an "
+                           f"integer >= 0 and < 2**63, got {2**63}"),
                           ({"benchmark_dataset": 5}, "benchmark_dataset must "
                            "be a string, got 5")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -374,6 +376,7 @@ GOOD_RECORD = dict(benchmark_dataset="d", search_space="tss", arch_index=4,
     ("benchmark_dataset", {"a": 1}, "benchmark_dataset must be a string"),
     ("temperature", "hot", "temperature must be a finite number > 0"),
     ("temperature", 0.0, "temperature must be a finite number > 0"),
+    ("arch_index", 2**63, "arch_index must be an integer >= 0"),
 ])
 def test_read_records_rejects_bad_field_values(tmp_path, field, bad,
                                                message):
