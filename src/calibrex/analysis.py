@@ -18,13 +18,20 @@ from .predictions import (_check_count, _check_index, _check_positive,
                           atomic_output, read_header, read_rows)
 
 
-class NotFiniteError(ValueError):
-    """A MetricTable cell that is NaN or infinite."""
-
-    def __init__(self, column: str, arch_index: int):
-        super().__init__(f"column {column!r} is not finite at arch_index "
-                         f"{arch_index}")
-        self.column, self.arch_index = column, arch_index
+def _float_columns(columns, n: int, not_finite) -> Dict[str, np.ndarray]:
+    """Metric columns as float64 arrays, each of shape (n,) and finite; the
+    first NaN or infinity raises ValueError(not_finite(column name, row))."""
+    cols = {}
+    for name, vals in columns.items():
+        v = np.asarray(vals, dtype=np.float64)
+        if v.shape != (n,):
+            raise ValueError(f"column {name!r} has shape {v.shape}, "
+                             f"expected ({n},)")
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(not_finite(name, int(bad[0])))
+        cols[name] = v
+    return cols
 
 
 @dataclass
@@ -40,22 +47,14 @@ class MetricTable:
         for x in np.asarray(self.arch_index, dtype=object).ravel():
             _check_index("arch_index", x)
         self.arch_index = np.asarray(self.arch_index, dtype=np.int64)
-        n = self.arch_index.size
         srt = np.sort(self.arch_index, axis=None)
         repeats = srt[1:][srt[1:] == srt[:-1]]
         if repeats.size:
             raise ValueError(f"arch_index {repeats[0]} has more than one row")
-        cols = {}
-        for name, vals in self.columns.items():
-            v = np.asarray(vals, dtype=np.float64)
-            if v.shape != (n,):
-                raise ValueError(f"column {name!r} has shape {v.shape}, "
-                                 f"expected ({n},)")
-            bad = np.flatnonzero(~np.isfinite(v))
-            if bad.size:
-                raise NotFiniteError(name, int(self.arch_index[bad[0]]))
-            cols[name] = v
-        self.columns = cols
+        self.columns = _float_columns(
+            self.columns, self.arch_index.size,
+            lambda name, i: f"column {name!r} is not finite at arch_index "
+                            f"{self.arch_index[i]}")
 
     @property
     def n_rows(self) -> int:
@@ -327,13 +326,10 @@ def read_table_csv(path) -> MetricTable:
         dtype = [("arch_index", np.int64)] + [(f"c{i}", np.float64)
                                              for i in range(len(names))]
 
-        def finite(data):
-            for i, name in enumerate(names):
-                bad = ~np.isfinite(data[f"c{i}"])
-                if bad.any():
-                    raise ValueError(f"column {name!r}: "
-                                     f"{data[f'c{i}'][bad][0]} is not a "
-                                     "finite number")
+        def finite(data):  # the column rule, naming a bad cell's line
+            cols = {name: data[f"c{i}"] for i, name in enumerate(names)}
+            _float_columns(cols, data.size, lambda name, row: (
+                f"column {name!r}: {cols[name][row]} is not a finite number"))
 
         data = read_rows(path, fh, dtype, delimiter=",", check=finite)
     if data.size == 0:

@@ -13,7 +13,6 @@ import math
 import os
 import re
 import struct
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +78,10 @@ def atomic_output(path):
     try:
         with open(fd, "w", newline="") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # name the output here too
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         os.unlink(tmp)
         raise
@@ -369,8 +371,7 @@ def _check_rows(data: np.ndarray) -> None:
     """The row rules of ``_check`` (finite scores, labels in range) on
     parsed CSV rows, so that a bad value names its line.  Whether the set
     is probabilities is decided on the whole file afterwards."""
-    if data.size:
-        _check(data["s"], data["y"], False)
+    _check(data["s"], data["y"], False)
 
 
 # ---------------------------------------------------------------------------
@@ -388,53 +389,58 @@ def read_header(path, fh):
     return next(csv.reader([line])) if line else None
 
 
-def read_rows(path, fh, dtype, delimiter=None, check=None) -> np.ndarray:
+def read_rows(path, fh, dtype, check, delimiter=None) -> np.ndarray:
     """The rest of text file ``fh`` as one structured array of ``dtype``,
     one row per line; empty lines are skipped.
 
     The rows are parsed by one numpy ``loadtxt`` in its number syntax,
-    split on ``delimiter`` (None splits on whitespace); ``check``, if given,
-    raises ValueError for a parsed array it rejects.  ``fh`` must have been
-    advanced by ``readline()`` calls only, so that it can tell where the
-    body starts.  A rejected row raises ValueError ``path: line N: <message>``
-    with N the physical line of the first bad row; a body that is not UTF-8
-    raises ``path: <decoder message>``.  The lines are read only after a
-    failure, so a good file is streamed.
+    split on ``delimiter`` (None splits on whitespace); ``check`` raises
+    ValueError for parsed rows (one or more) that it rejects.  ``fh`` must
+    have been advanced by ``readline()`` calls only, so that it can tell
+    where the body starts.  A rejected row raises ValueError ``path: line
+    N: <message>`` with N the physical line of the first bad row; a body
+    that is not UTF-8 raises ``path: <decoder message>``.  The lines are
+    read only after a failure, so a good file is streamed.
     """
-    def load(rows):
+    # numpy skips a line that strips to "" (all whitespace, without a
+    # delimiter) and warns on rows without another, so it never gets those
+    blank = None if delimiter is None else "\r\n"
+
+    def load(rows, any_row: bool):
+        if not any_row:  # no rows: the caller's error
+            return np.empty(0, dtype)
         data = np.loadtxt(rows, dtype=dtype, delimiter=delimiter,
                           comments=None, quotechar=None, ndmin=1)
-        if check is not None:
-            check(data)
+        check(data)
         return data
 
     start = fh.tell()
-    with warnings.catch_warnings():
-        # an empty body is the caller's error
-        warnings.simplefilter("ignore", UserWarning)
+    try:
+        # the body is peeked at up to its first row, then parsed in full
+        any_row = any(line.strip(blank) for line in iter(fh.readline, ""))
+        fh.seek(start)
+        return load(fh, any_row)
+    except ValueError as exc:  # a bad row, or a byte that is not UTF-8
+        error = exc
+    fh.seek(0)
+    head = 0  # lines before the body: the readline() calls that reach it
+    while fh.tell() != start:
+        fh.readline()
+        head += 1
+    try:
+        lines = fh.readlines()
+    except UnicodeDecodeError as exc:  # its args[0] would be "utf-8"
+        raise ValueError(f"{path}: {exc}") from None
+    # a prefix fails exactly when it holds a bad line, so bisecting on
+    # prefix length finds the first one
+    good, bad = 0, len(lines)  # lines[:good] loads, lines[:bad] does not
+    while bad - good > 1:
+        mid = (good + bad) // 2
         try:
-            return load(fh)
-        except ValueError as exc:  # a bad row, or a byte that is not UTF-8
-            error = exc
-        fh.seek(0)
-        head = 0  # lines before the body: the readline() calls that reach it
-        while fh.tell() != start:
-            fh.readline()
-            head += 1
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:  # its args[0] would be "utf-8"
-            raise ValueError(f"{path}: {exc}") from None
-        # a prefix fails exactly when it holds a bad line, so bisecting on
-        # prefix length finds the first one
-        good, bad = 0, len(lines)  # lines[:good] loads, lines[:bad] does not
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            try:
-                load(lines[:mid])
-                good = mid
-            except ValueError as exc:
-                bad, error = mid, exc
+            load(lines[:mid], any(line.strip(blank) for line in lines[:mid]))
+            good = mid
+        except ValueError as exc:
+            bad, error = mid, exc
     # numpy's row number (and a check's) skips blank lines, and numpy's
     # counts from 0 or 1 by error kind: drop it (and the `usecols` hint),
     # name the line

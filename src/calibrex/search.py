@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .analysis import MetricTable, NotFiniteError, hcs
+from .analysis import _float_columns, hcs
 from .archspace import (SPACES, SSS_CHANNELS, TSS_OPS, SssArch, TssArch,
                         parse_arch, sss_string, tss_string)
 from .predictions import (_check_count, _check_index, _check_positive,
@@ -45,13 +45,10 @@ class TabularBenchmark:
     def __post_init__(self):
         if self.space not in _SPACES:
             raise ValueError(f"bad space {self.space!r}")
-        try:
-            self.metrics = MetricTable(range(len(self.archs)),
-                                       self.metrics).columns
-        except NotFiniteError as exc:
-            raise ValueError(f"metric {exc.column!r} is not finite for "
-                             f"architecture {self.archs[exc.arch_index]!r}"
-                             ) from None
+        self.metrics = _float_columns(
+            self.metrics, len(self.archs),
+            lambda name, i: f"metric {name!r} is not finite for "
+                            f"architecture {self.archs[i]!r}")
         self._row = {a: i for i, a in enumerate(self.archs)}
         if len(self._row) != len(self.archs):
             raise ValueError("an architecture is listed twice")
@@ -159,10 +156,11 @@ def _read_index(index_path: str) -> Dict[int, str]:
     if not isinstance(index, dict):
         raise ValueError(f"{index_path}: not a JSON object of "
                          "arch: arch_index")
+    # a message for the first bad entry only; a good value there repeats
     by_index: Dict[int, str] = {}
     for arch, i in index.items():
-        _check_index(f"{index_path}: arch_index of {arch!r}", i)
-        if i in by_index:
+        if type(i) is not int or not 0 <= i < 2**63 or i in by_index:
+            _check_index(f"{index_path}: arch_index of {arch!r}", i)
             raise ValueError(f"{index_path}: {by_index[i]!r} and {arch!r} "
                              f"share arch_index {i}")
         by_index[i] = arch
@@ -185,12 +183,11 @@ def load_benchmark(records_path: str) -> TabularBenchmark:
         raise ValueError(f"{records_path}: no architecture has both accuracy "
                          f"and ece records at {ECE_BINS} bins")
     by_index = _read_index(index_path)
-    names = []
-    for i in table.arch_index.tolist():
-        if i not in by_index:
-            raise ValueError(f"{index_path}: no architecture for arch_index "
-                             f"{i} of {records_path}")
-        names.append(by_index[i])
+    try:
+        names = [by_index[i] for i in table.arch_index.tolist()]
+    except KeyError as exc:
+        raise ValueError(f"{index_path}: no architecture for arch_index "
+                         f"{exc.args[0]} of {records_path}") from None
     order = sorted(range(len(names)), key=names.__getitem__)
     return TabularBenchmark(space, {
         "accuracy": table.columns[keys[0]][order],

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1161,3 +1162,45 @@ def test_outputs_get_the_umask_mode(tmp_path, logits_file, table_csv):
     assert expected == 0o644
     assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in outputs} == \
         {p.name: expected for p in outputs}
+
+
+def test_out_naming_a_directory_names_it(tmp_path, monkeypatch, capsys):
+    # the rename's error once named the temp file, which is gone by then
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "kept.txt").write_text("kept\n")
+    assert main(["enumerate", "--space", "tss", "--out", "d"]) == 2
+    assert capsys.readouterr().err == "error: d: Is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["kept.txt"]
+    assert (tmp_path / "d" / "kept.txt").read_text() == "kept\n"
+
+
+def test_text_reads_leave_the_warning_filters_alone(tmp_path, logits_file,
+                                                    monkeypatch, capsys):
+    # the filter list belongs to the whole process: swapping it to hide
+    # numpy's empty-input warning could race with other threads
+    def catch_warnings(*args, **kwargs):
+        raise AssertionError("warnings.catch_warnings called")
+
+    table, ood, preds, bad = (tmp_path / name for name in (
+        "t.csv", "ood.txt", "p.csv", "bad.csv"))
+    table.write_text("arch_index,a\n\n")
+    ood.write_text("\n \n")
+    preds.write_text("label,s0,s1\n\n")
+    bad.write_text("label,s0,s1\n\n\nabc,0.5,0.5\n")
+    out = str(tmp_path / "out")
+    for argv, message in (
+            (["correlate", "--table", table], f"{table}: no data rows"),
+            (["eval", "--logits", logits_file, "--ood-in", ood,
+              "--ood-out", ood], f"{ood}: no confidence values"),
+            (["eval", "--logits", preds], f"{preds}: no data rows"),
+            (["eval", "--logits", bad], f"{bad}: line 4: could not convert "
+             "string 'abc' to int64, column 1.")):
+        # pytest's own report needs the real one back
+        with monkeypatch.context() as patch:
+            patch.setattr(warnings, "catch_warnings", catch_warnings)
+            rc = main([str(a) for a in argv] + ["--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)

@@ -12,6 +12,7 @@ from calibrex import (
     SssArch,
     TabularBenchmark,
     TssArch,
+    analysis,
     archspace,
     enumerate_tss,
     hcs,
@@ -23,6 +24,7 @@ from calibrex import (
     parse_arch,
     random_search,
     regularized_evolution,
+    search,
     synth_benchmark,
     write_benchmark,
 )
@@ -285,6 +287,9 @@ def test_load_benchmark_rejects_what_it_once_dropped(tmp_path, case):
     (["ARCH"], "not a JSON object"),
     ("{", "not a JSON index"),
     ({"ARCH": 2**63}, "arch_index of 'ARCH' must be an integer >= 0"),
+    # the first bad entry in the object's order is the one named
+    ({"ARCH": 0, "OTHER": 0, "THIRD": "x"},
+     "'ARCH' and 'OTHER' share arch_index 0"),
 ])
 def test_load_benchmark_names_the_bad_index(tmp_path, index, message):
     from calibrex import MeasurementRecord, write_records
@@ -300,6 +305,42 @@ def test_load_benchmark_names_the_bad_index(tmp_path, index, message):
     with pytest.raises(ValueError, match=re.escape(
             f"{index_path}: {message.replace('ARCH', arch)}")):
         load_benchmark(path)
+
+
+def test_load_benchmark_builds_one_metric_table(tmp_path, monkeypatch):
+    # read_records' table is the one that checks the cells: the benchmark
+    # checks its columns without building a second one
+    path = str(tmp_path / "bench.jsonl")
+    bench = small_bench()
+    write_benchmark(bench, path)
+    tables = []
+    post_init = analysis.MetricTable.__post_init__
+
+    def counted(table):
+        tables.append(table)
+        post_init(table)
+
+    monkeypatch.setattr(analysis.MetricTable, "__post_init__", counted)
+    assert load_benchmark(path).archs == sorted(bench.archs)
+    assert len(tables) == 1
+
+
+def test_load_benchmark_checks_a_good_index_in_one_pass(tmp_path,
+                                                        monkeypatch):
+    # the per-entry check, with its message, is for a bad entry only
+    path = str(tmp_path / "bench.jsonl")
+    bench = small_bench()
+    write_benchmark(bench, path)
+    calls = []
+    check = search._check_index
+
+    def counted(name, x):
+        calls.append(name)
+        check(name, x)
+
+    monkeypatch.setattr(search, "_check_index", counted)
+    assert load_benchmark(path).archs == sorted(bench.archs)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
