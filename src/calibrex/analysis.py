@@ -43,9 +43,12 @@ class MetricTable:
     columns: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        # as objects, a float or bool array's entries stay floats or bools
-        for x in np.asarray(self.arch_index, dtype=object).ravel():
-            _check_index("arch_index", x)
+        index = self.arch_index  # an integer array is checked in numpy
+        if not (isinstance(index, np.ndarray) and index.dtype.kind in "iu"
+                and (index >= 0).all() and (index < 2**63).all()):
+            # entry by entry, as objects: a float or bool entry stays one
+            for x in np.asarray(index, dtype=object).ravel():
+                _check_index("arch_index", x)
         self.arch_index = np.asarray(self.arch_index, dtype=np.int64)
         srt = np.sort(self.arch_index, axis=None)
         repeats = srt[1:][srt[1:] == srt[:-1]]

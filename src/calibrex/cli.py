@@ -8,9 +8,11 @@ one-line "error: ..." message on failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 from . import analysis, archspace, search, suite
 from .predictions import (MAGIC, SplitSpec, _check_count, atomic_output,
                           read_csv_predictions, read_logits_file, read_rows)
-from .temperature import T_MAX, T_MIN, near_bound
+from .temperature import T_MAX, T_MIN
 
 DEFAULT_BINS = ",".join(str(b) for b in suite.DEFAULT_BIN_SIZES)
 
@@ -64,19 +66,7 @@ def _eval_one(task):
     with open(path, "rb") as fh:  # a CSV header starts with "label"
         clbx = fh.read(len(MAGIC)) == MAGIC
     read = read_logits_file if clbx else read_csv_predictions
-    return suite.run_suite(read(path), config)
-
-
-def _warned(paths, batches):
-    """Each batch's records, after a warning if its temperature hit a bound."""
-    for path, batch in zip(paths, batches):
-        # post-stage records carry the fitted temperature
-        fitted = next((r.temperature for r in batch if r.stage == "post"),
-                      None)
-        if fitted is not None and near_bound(fitted):
-            print(f"warning: {path}: fitted temperature {fitted:.6g} is at "
-                  f"the bound of [{T_MIN:g}, {T_MAX:g}]", file=sys.stderr)
-        yield from batch
+    return suite._suite_values(read(path), config)  # floats, no records
 
 
 def cmd_eval(args) -> int:
@@ -97,20 +87,30 @@ def cmd_eval(args) -> int:
     if args.ood_in is not None:
         ood = (_read_confidences(args.ood_in),
                _read_confidences(args.ood_out))
-    tasks = ((path, dataclasses.replace(
+    tasks = [(path, dataclasses.replace(
         config, benchmark_dataset=Path(path).stem, arch_index=idx,
-        ood_inputs=ood)) for idx, path in enumerate(args.logits))
-    # one model's records at a time, in input order, into one atomic write
-    if args.jobs > 1:
-        import multiprocessing  # only a pool needs it
-        chunks, extra = divmod(len(args.logits), args.jobs * 4)  # as map
-        with multiprocessing.Pool(args.jobs) as pool:
-            batches = pool.imap(_eval_one, tasks, chunks + bool(extra))
-            written = suite.write_records(_warned(args.logits, batches),
-                                          args.out)
-    else:
-        written = suite.write_records(
-            _warned(args.logits, map(_eval_one, tasks)), args.out)
+        ood_inputs=ood)) for idx, path in enumerate(args.logits)]
+    # one model's values at a time, in input order, into one atomic write
+    written = 0
+    with contextlib.ExitStack() as stack:
+        results = map(_eval_one, tasks)
+        if args.jobs > 1:
+            import multiprocessing  # only a pool needs it
+            pool = stack.enter_context(multiprocessing.Pool(args.jobs))
+            chunks, extra = divmod(len(tasks), args.jobs * 4)  # as map
+            results = pool.imap(_eval_one, tasks, chunks + bool(extra))
+        fh = stack.enter_context(atomic_output(args.out))
+        for (path, config), (values, temp) in zip(tasks, results):
+            if temp is not None and temp.at_bound:  # the fit's own flag
+                print(f"warning: {path}: fitted temperature {temp.value:.6g} "
+                      f"is at the bound of [{T_MIN:g}, {T_MAX:g}]",
+                      file=sys.stderr)
+            for rec in suite._records_of(config, values, temp):
+                if not math.isfinite(rec["value"]):  # the one value check
+                    raise ValueError(f"{path}: {suite.metric_key(rec)} must "
+                                     f"be finite, got {rec['value']!r}")
+                fh.write(suite._record_line(rec))
+            written += len(values)
     print(f"{written} records written")
     return 0
 

@@ -12,6 +12,7 @@ import csv
 import math
 import os
 import re
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -69,7 +70,16 @@ def atomic_output(path):
     """Yield a text file (``newline=""``) that replaces ``path`` on success.
 
     It is a new ``.tmp`` file beside ``path``, made with mode 0o666 less
-    the umask, as ``open(path, "w")`` would be, and removed on an error."""
+    the umask, as ``open(path, "w")`` would be, and removed on an error.
+    A path that is there but not a regular file (a FIFO, a device, a
+    symlink) is written in place, as ``open(path, "w")`` writes it."""
+    in_place = False  # a new path: the temp file's errors name it
+    with contextlib.suppress(OSError):
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    if in_place:
+        with open(path, "w", newline="") as fh:
+            yield fh
+        return
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

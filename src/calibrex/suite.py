@@ -167,6 +167,17 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
     The predictions are split into a fitting part and a test part; the
     temperature is fit on the fitting part only, and all metric values are
     reported on the test part (stage "pre" raw, stage "post" rescaled).
+    """
+    held = [preds]  # the core drops the input, so no frame here holds it
+    del preds
+    config = SuiteConfig() if config is None else config
+    return [MeasurementRecord(**rec) for rec in
+            _records_of(config, *_suite_values(held.pop(), config))]
+
+
+def _suite_values(preds: PredictionSet, config: SuiteConfig) -> tuple:
+    """One model's values (a list of floats, in the order ``_records_of``
+    keys them) and its fitted Temperature (None when scaling is off).
 
     One stage is held at a time, and each array is dropped once nothing
     more reads it: the input after the split (on CPython >= 3.11 that
@@ -176,30 +187,18 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
     that leaves the test logits and one stage's probabilities, plus
     temporaries of a few rows or columns each.
     """
-    if config is None:
-        config = SuiteConfig()
+    values = []
 
-    def rec(metric, bins, stage, value, temperature):
-        return MeasurementRecord(config.benchmark_dataset,
-                                 config.search_space, config.arch_index,
-                                 metric, bins, stage, "test", float(value),
-                                 temperature)
-
-    records = []
-
-    def measure(stage, probs, tval):
-        """Append one stage's records; return its top-label state."""
+    def measure(probs):
+        """Append one stage's values; return its top-label state."""
         # one argmax and one canonical sort serve every top-label metric
         top = binning._top_label(probs)
-        binned = binning._binned_metrics(probs, top, config.bin_sizes)
-        for (metric, bins), value in binned.items():
-            records.append(rec(metric, bins, stage, value, tval))
-        for metric, value_of in _CONT_FUNCS.items():
-            records.append(rec(metric, None, stage, value_of(probs, top),
-                               tval))
+        values.extend(binning._binned_metrics(probs, top,
+                                              config.bin_sizes).values())
+        values.extend(float(f(probs, top)) for f in _CONT_FUNCS.values())
         if config.include_accuracy:
             # a 0/1 sum is exact in any order: the bits of probs.accuracy()
-            records.append(rec("accuracy", None, stage, top[1].mean(), tval))
+            values.append(float(top[1].mean()))
         return top
 
     fit_part, test_part = split(preds, config.split)
@@ -207,15 +206,34 @@ def run_suite(preds: PredictionSet, config: Optional[SuiteConfig] = None
     temp = fit_temperature(fit_part) if config.temperature_scale else None
     del fit_part
     # the pre stage's sorted confidences, which speed up auroc's search
-    pos = measure("pre", as_probabilities(test_part), None)[0]
+    pos = measure(as_probabilities(test_part))[0]
     if temp is not None:
         test_part = apply_temperature(test_part, temp)
-        measure("post", test_part, temp.value)
+        measure(test_part)
+    for neg in config.ood_inputs or ():
+        values.append(float(continuous._auroc(pos, neg)))
+    return values, temp
+
+
+def _records_of(config: SuiteConfig, values, temp) -> Iterator[dict]:
+    """The record dict of each of ``_suite_values``'s values."""
+    extra = ("accuracy",) if config.include_accuracy else ()
+    keys = [(m, b, stage) for stage in STAGES[:1 + (temp is not None)]
+            for m, b in [*itertools.product(BIN_METRICS, config.bin_sizes),
+                         *((m, None) for m in CONTINUOUS_METRICS + extra)]]
     if config.ood_inputs is not None:
-        for tag, neg in zip(("a", "b"), config.ood_inputs):
-            records.append(rec(f"auroc_ood_{tag}", None, "pre",
-                               continuous._auroc(pos, neg), None))
-    return records
+        keys += [(f"auroc_ood_{tag}", None, "pre") for tag in "ab"]
+    tags = dict(benchmark_dataset=config.benchmark_dataset, split="test",
+                search_space=config.search_space, arch_index=config.arch_index)
+    for (metric, bins, stage), value in zip(keys, values, strict=True):
+        yield dict(tags, metric=metric, bin_count=bins, stage=stage,
+                   value=value,
+                   temperature=temp.value if stage == "post" else None)
+
+
+def _record_line(rec: dict) -> str:
+    """A record dict's JSONL line, the one form records are written in."""
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_records(records: Iterable[MeasurementRecord], path) -> int:
@@ -224,8 +242,7 @@ def write_records(records: Iterable[MeasurementRecord], path) -> int:
     count = 0
     with atomic_output(path) as fh:
         for count, r in enumerate(records, start=1):
-            fh.write(json.dumps(r.to_dict(), sort_keys=True,
-                                separators=(",", ":")) + "\n")
+            fh.write(_record_line(r.to_dict()))
     return count
 
 

@@ -29,20 +29,13 @@ class Temperature:
 
     ``at_bound`` is True when the optimum lies within ``T_TOL`` of
     ``T_MIN`` or ``T_MAX``: the search stopped at the edge of its range,
-    so the NLL may keep falling beyond it.  It is ``near_bound(value)``;
-    ``calibrex eval``, which sees only the records' temperatures, applies
-    ``near_bound`` to those, so the flag and the warning agree.
+    so the NLL may keep falling beyond it; ``calibrex eval`` warns of it.
     """
 
     value: float
     nll_before: float
     nll_after: float
     at_bound: bool = False
-
-
-def near_bound(t: float) -> bool:
-    """True when temperature t lies within T_TOL of T_MIN or T_MAX."""
-    return t - T_MIN <= T_TOL or T_MAX - t <= T_TOL
 
 
 def _as_logits(preds: PredictionSet) -> np.ndarray:
@@ -148,7 +141,8 @@ def _golden_section(nll_at) -> Temperature:
     nll_star = nll_at(t_star)
     if not nll_star < nll_one:
         return Temperature(1.0, nll_one, nll_one)
-    return Temperature(t_star, nll_one, nll_star, near_bound(t_star))
+    return Temperature(t_star, nll_one, nll_star,
+                       t_star - T_MIN <= T_TOL or T_MAX - t_star <= T_TOL)
 
 
 def apply_temperature(preds: PredictionSet, temperature) -> PredictionSet:

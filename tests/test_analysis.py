@@ -326,7 +326,7 @@ def test_metric_table_rejects_a_cell_that_is_not_finite(bad):
                                    "a": [1.0, bad, 2.0, 3.0]})
 
 
-def test_metric_table_validation_and_lookup():
+def test_metric_table_validation_and_lookup(monkeypatch):
     t = small_table()
     assert t.n_rows == 4
     assert t.column("acc").tolist() == [0.9, 0.8, 0.9, 0.7]
@@ -347,12 +347,28 @@ def test_metric_table_validation_and_lookup():
     # [0, 1, -3], and bools passed
     for bad, shown in (([0.5, 1.7], "0.5"), ([-3, 1], "-3"),
                        ([True, False], "True"), ([1, True], "True"),
-                       ([2**63], str(2**63)), (np.array([1.0]), "1.0")):
+                       ([2**63], str(2**63)), (np.array([1.0]), "1.0"),
+                       (np.array([3, -1]), "-1"),
+                       (np.array([2**63], dtype=np.uint64), str(2**63))):
         with pytest.raises(ValueError, match=r"^arch_index must be an "
                            rf"integer >= 0 and < 2\*\*63, got {shown}$"):
             MetricTable(bad)
     for good in ([], range(3), np.arange(3), [np.int64(4), 2]):
         assert MetricTable(good).arch_index.dtype == np.int64
+    # an integer array is checked in numpy, not entry by entry: a
+    # population table once made 15,625 calls
+    calls = []
+    check = analysis._check_index
+
+    def counting(name, x):
+        calls.append(x)
+        check(name, x)
+    monkeypatch.setattr(analysis, "_check_index", counting)
+    assert MetricTable(np.arange(15_625)).n_rows == 15_625
+    assert MetricTable(np.arange(3, dtype=np.uint8)).n_rows == 3
+    assert calls == []
+    MetricTable([0, 1])  # a list is still checked entry by entry
+    assert calls == [0, 1]
 
 
 def test_correlation_matrix_properties():

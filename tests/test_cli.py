@@ -28,7 +28,7 @@ from calibrex import (
     write_records,
     write_table_csv,
 )
-from calibrex import cli
+from calibrex import Temperature, cli, suite
 from calibrex.cli import main
 
 
@@ -236,6 +236,59 @@ def test_eval_warns_once_per_file_whose_temperature_is_at_a_bound(
     assert len(pinned_t) == 1 and pinned_t.pop() < 0.0501
     assert main(["eval", "--logits", logits_file, "--out", out]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_eval_builds_no_record_object_per_value(tmp_path, logits_file,
+                                                ood_files, monkeypatch):
+    # each of the 102 values was once a MeasurementRecord that re-ran the
+    # record checks on a number the suite had just computed
+    calls = []
+    post_init = suite.MeasurementRecord.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        post_init(self)
+    monkeypatch.setattr(suite.MeasurementRecord, "__post_init__", counting)
+    out = tmp_path / "r.jsonl"
+    assert main(["eval", "--logits", logits_file, "--ood-in", ood_files[0],
+                 "--ood-out", ood_files[1], "--out", str(out)]) == 0
+    # the tag checks of the call's SuiteConfig and of its per-file copy
+    assert len(calls) == 2
+    assert len(out.read_text().splitlines()) == 102
+
+
+def test_eval_warning_comes_from_the_fit(tmp_path, logits_file, monkeypatch,
+                                         capsys):
+    # once derived again from the records' temperatures, so a fit that
+    # flagged its bound was not warned about unless its value agreed
+    monkeypatch.setattr(suite, "fit_temperature",
+                        lambda preds: Temperature(1.5, 1.0, 0.9, True))
+    out = tmp_path / "r.jsonl"
+    assert main(["eval", "--logits", logits_file, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {logits_file}: fitted temperature 1.5 is at the bound of "
+        "[0.05, 20]\n")
+    temps = {json.loads(l)["temperature"]
+             for l in out.read_text().splitlines()}
+    assert temps == {None, 1.5}
+
+
+def test_eval_refuses_a_non_finite_value_at_the_write(tmp_path, logits_file,
+                                                      monkeypatch, capsys):
+    # once the record's own message, which named neither the file nor the
+    # metric
+    monkeypatch.setitem(suite._CONT_FUNCS, "ksce",
+                        lambda probs, top: float("nan"))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    rc = main(["eval", "--logits", logits_file,
+               "--out", str(outdir / "r.jsonl")])
+    assert rc == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: {logits_file}: ksce_pre must be finite, "
+                      "got nan"]
+    assert list(outdir.iterdir()) == []
 
 
 def test_eval_missing_file_exits_2(tmp_path, capsys):
@@ -1174,6 +1227,37 @@ def test_out_naming_a_directory_names_it(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["d"]
     assert [p.name for p in (tmp_path / "d").iterdir()] == ["kept.txt"]
     assert (tmp_path / "d" / "kept.txt").read_text() == "kept\n"
+
+
+def test_out_naming_a_fifo_writes_into_it(tmp_path, capsys):
+    # the rename once replaced the FIFO by a regular file, and its reader
+    # got nothing
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["search", "--benchmark", "synthetic", "--budget", "5",
+                     "--out", str(fifo)]) == 0
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert json.loads(got)["evaluations"] == 5
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_out_naming_a_symlink_writes_its_target(tmp_path, capsys):
+    # the rename once replaced the link by a regular file, and the target
+    # kept its old bytes
+    target, link = tmp_path / "target.json", tmp_path / "link"
+    target.write_text("old\n")
+    link.symlink_to(target.name)
+    assert main(["search", "--benchmark", "synthetic", "--budget", "5",
+                 "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert json.loads(target.read_text())["evaluations"] == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link",
+                                                          "target.json"]
 
 
 def test_text_reads_leave_the_warning_filters_alone(tmp_path, logits_file,
