@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from .predictions import _is_int
+
 TSS_OPS = ("none", "skip_connect", "nor_conv_1x1", "nor_conv_3x3",
            "avg_pool_3x3")
 OP_ALIASES = {"zero": "none", "skip": "skip_connect",
@@ -62,11 +64,11 @@ class SssArch:
     def __post_init__(self):
         if len(self.channels) != SSS_LAYERS:
             raise ValueError(f"expected {SSS_LAYERS} channel values")
-        chans = tuple(int(c) for c in self.channels)
-        for c in chans:
-            if c not in SSS_CHANNELS:
-                raise ValueError(f"channel {c} not in {SSS_CHANNELS}")
-        object.__setattr__(self, "channels", chans)
+        for c in self.channels:
+            if not _is_int(c) or c not in SSS_CHANNELS:
+                raise ValueError(f"channel {c!r} not in {SSS_CHANNELS}")
+        object.__setattr__(self, "channels",
+                           tuple(int(c) for c in self.channels))
 
     def to_string(self) -> str:
         return sss_string(self.channels)

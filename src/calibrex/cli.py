@@ -1,9 +1,9 @@
 """Command-line interface: eval, correlate, search, enumerate, report.
 
-Every command is deterministic given its flags (CALIBREX_SEED supplies the
-seed when --seed is absent), checks its flags before it opens an input,
-writes outputs atomically via a temp file and rename, and exits 2 with a
-one-line "error: ..." message on failure.
+Every command is deterministic given its flags and input bytes, checks its
+flags before it opens an input, writes a new or regular output file
+atomically via a temp file and rename (a FIFO, a device or a symlink is
+written in place), and exits 2 with a one-line "error: ..." on failure.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -25,17 +24,6 @@ from .predictions import (MAGIC, SplitSpec, _check_count, atomic_output,
 from .temperature import T_MAX, T_MIN
 
 DEFAULT_BINS = ",".join(str(b) for b in suite.DEFAULT_BIN_SIZES)
-
-
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    text = os.environ.get("CALIBREX_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError("CALIBREX_SEED must be an integer >= 0, got "
-                         f"{text!r}") from None
 
 
 def _numbers(flag: str, text: str, kind) -> list:
@@ -81,7 +69,7 @@ def cmd_eval(args) -> int:
     config = suite.SuiteConfig(
         bin_sizes=_numbers("--bins", args.bins, int),
         temperature_scale=args.temperature_scale,
-        split=SplitSpec(args.val_fraction, seed=_resolve_seed(args.seed)),
+        split=SplitSpec(args.val_fraction, seed=args.seed),
         include_accuracy=args.include_accuracy, search_space=args.space)
     ood = None
     if args.ood_in is not None:
@@ -137,8 +125,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    config = search.SearchConfig(budget=args.budget,
-                                 seed=_resolve_seed(args.seed))
+    config = search.SearchConfig(budget=args.budget, seed=args.seed)
     objective = search.make_objective(args.objective, args.beta)
     if args.benchmark == "synthetic":
         bench = search.synth_benchmark(args.space, seed=config.seed)
@@ -240,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature-scale", default=True,
                    action=argparse.BooleanOptionalAction)
     p.add_argument("--val-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ood-in", metavar="PATH",
                    help="first OoD confidence file (one value per line)")
     p.add_argument("--ood-out", metavar="PATH",
@@ -269,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=search.OBJECTIVES, default="acc")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--percent", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_search)

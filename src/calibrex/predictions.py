@@ -120,7 +120,15 @@ class PredictionSet:
         # the flattened scores
         scores = np.array(self.scores, dtype=np.float64, copy=True,
                           order="C")
-        labels = np.array(self.labels, dtype=np.int64, copy=True)
+        labels = np.asarray(self.labels)
+        # a whole float passes and a bool is refused; _check refuses a
+        # shape that is not 1-D
+        if labels.dtype.kind not in "iu" and labels.ndim == 1:
+            for row, x in enumerate(labels.tolist()):
+                if not (_is_int(x) or isinstance(x, float) and x.is_integer()):
+                    raise ValueError(f"label {x!r} is not an integer in "
+                                     f"row {row}")
+        labels = labels.astype(np.int64)  # a copy: the caller's stays theirs
         _check(scores, labels, self.is_probabilities)
         _freeze(self, scores, labels)
 
@@ -299,10 +307,11 @@ def write_logits_file(path, preds: PredictionSet) -> None:
     rec = np.empty(n, dtype=np.dtype([("s", "<f4", (k,)), ("y", "<i4")]))
     rec["s"] = preds.scores.astype(np.float32)
     rec["y"] = preds.labels.astype(np.int32)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION,
-                              1 if preds.is_probabilities else 0, n, k))
-        fh.write(rec.tobytes())
+    with atomic_output(path) as fh:  # bytes go to its binary buffer
+        fh.buffer.write(_HEADER.pack(MAGIC, FORMAT_VERSION,
+                                     1 if preds.is_probabilities else 0,
+                                     n, k))
+        fh.buffer.write(rec.tobytes())
 
 
 def read_logits_file(path) -> PredictionSet:

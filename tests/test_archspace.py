@@ -1,5 +1,6 @@
 """Tests for architecture encodings, enumeration, and cell fingerprints."""
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -94,6 +95,15 @@ def test_sss_validation_errors():
         SssArch((8, 16))
     with pytest.raises(ValueError, match="channel 12 not in"):
         SssArch((8, 12, 16, 24, 32))
+    # each was once cast by int() first: 8.7 became 8, "8" was taken
+    for channel, shown in ((8.7, "8.7"), ("8", "'8'"),
+                           (np.float64(16.9), "np.float64(16.9)")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"channel {shown} not in (8, 16, 24, 32, 40, 48, 56, 64)")):
+            SssArch((channel, 16, 24, 32, 40))
+    arch = SssArch((np.int64(8), 16, 24, 32, 40))
+    assert arch.channels == (8, 16, 24, 32, 40)
+    assert type(arch.channels[0]) is int
     with pytest.raises(ValueError, match="non-integer channel"):
         parse_sss("8:x:24:32:40")
 

@@ -374,27 +374,55 @@ def test_eval_ood_skips_blank_and_whitespace_lines(tmp_path, logits_file,
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_eval_seed_env_fallback(tmp_path, logits_file, monkeypatch, capsys):
-    flagged = str(tmp_path / "flag.jsonl")
-    env = str(tmp_path / "env.jsonl")
-    other = str(tmp_path / "other.jsonl")
-    assert main(["eval", "--logits", logits_file, "--seed", "7",
-                 "--out", flagged]) == 0
-    monkeypatch.setenv("CALIBREX_SEED", "7")
-    assert main(["eval", "--logits", logits_file, "--out", env]) == 0
-    monkeypatch.setenv("CALIBREX_SEED", "8")
-    assert main(["eval", "--logits", logits_file, "--out", other]) == 0
-    assert Path(flagged).read_bytes() == Path(env).read_bytes()
-    assert Path(env).read_bytes() != Path(other).read_bytes()
+def test_outputs_follow_from_argv_and_input_bytes(tmp_path, logits_file,
+                                                  table_csv, monkeypatch,
+                                                  capsys):
+    # eval and search once took their seed from CALIBREX_SEED when --seed
+    # was absent, so one command line could write other bytes
+    archs = [a.to_string() for a in enumerate_tss()[:6]]
+    bench_path = str(tmp_path / "bench.jsonl")
+    write_benchmark(TabularBenchmark("tss", {
+        "accuracy": [0.5, 0.8, 0.6, 0.7, 0.55, 0.65], "ece": [0.1] * 6},
+        archs), bench_path)
+    records = str(tmp_path / "records.jsonl")
+    assert main(["eval", "--logits", logits_file, "--out", records]) == 0
+    commands = {  # name: argv, and whether the command takes --seed
+        "eval": (["eval", "--logits", logits_file], True),
+        "synthetic": (["search", "--benchmark", "synthetic", "--algo", "re",
+                       "--budget", "30"], True),
+        "benchmark": (["search", "--benchmark", bench_path, "--budget", "3"],
+                      True),
+        "correlate": (["correlate", "--table", table_csv], False),
+        "enumerate": (["enumerate", "--dedupe"], False),
+        "report": (["report", "--records", records], False),
+    }
+
+    def outputs(seed_variable, *seed_flag):
+        if seed_variable is None:
+            monkeypatch.delenv("CALIBREX_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CALIBREX_SEED", seed_variable)
+        capsys.readouterr()
+        got = {}
+        for name, (argv, seeded) in commands.items():
+            out = tmp_path / "out"
+            flags = seed_flag if seeded else ()
+            code = main([*argv, *flags, "--out", str(out)])
+            got[name] = (code, capsys.readouterr(), out.read_bytes())
+        return got
+
+    clean = outputs(None)
+    assert outputs("8") == clean
+    assert outputs(None, "--seed", "0") == clean
+    other = outputs(None, "--seed", "8")  # the seed does decide the bytes
+    assert [other[name] != clean[name] for name in commands] == \
+        [seeded for _, seeded in commands.values()]
     # a negative seed is refused before a file is read: it once exited
     # with numpy's bare "expected non-negative integer" after the read
-    capsys.readouterr()  # the runs above warn of a bound temperature
-    for argv, env_seed, bad in ((["--seed", "-1"], "7", -1), ([], "-2", -2)):
-        monkeypatch.setenv("CALIBREX_SEED", env_seed)
-        assert main(["eval", "--logits", str(tmp_path / "none.clbx"),
-                     *argv, "--out", other]) == 2
-        assert capsys.readouterr().err == \
-            f"error: seed must be an integer >= 0, got {bad}\n"
+    assert main(["eval", "--logits", str(tmp_path / "none.clbx"), "--seed",
+                 "-1", "--out", str(tmp_path / "r.jsonl")]) == 2
+    assert capsys.readouterr().err == \
+        "error: seed must be an integer >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -422,20 +450,6 @@ def test_eval_bad_bins_name_the_flag(tmp_path, logits_file, capsys, bins):
     assert rc == 2
     assert capsys.readouterr().err == \
         f"error: --bins must be comma-separated ints, got {bins!r}\n"
-
-
-@pytest.mark.parametrize("command", [
-    ["eval", "--logits", "none.clbx"],
-    ["search", "--benchmark", "none.jsonl", "--budget", "5"],
-])
-def test_a_bad_seed_variable_is_named(tmp_path, monkeypatch, capsys,
-                                      command):
-    # it once gave int()'s bare "invalid literal for int() with base 10"
-    monkeypatch.setenv("CALIBREX_SEED", "abc")
-    monkeypatch.chdir(tmp_path)
-    assert main([*command, "--out", "r.json"]) == 2
-    assert capsys.readouterr().err == \
-        "error: CALIBREX_SEED must be an integer >= 0, got 'abc'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1165,7 +1179,7 @@ def test_cli_start_does_not_import_multiprocessing():
 
 
 def write_every_output(tmp_path, logits_file, table_csv):
-    """Run every command and every text writer once; the files written."""
+    """Run every command and every file writer once; the files written."""
     out = tmp_path / "out"
     out.mkdir()
     write_benchmark(TabularBenchmark(
@@ -1177,6 +1191,7 @@ def write_every_output(tmp_path, logits_file, table_csv):
     write_table_csv(read_table_csv(table_csv), out / "table.csv")
     write_matrix_csv(["a"], np.eye(1), out / "matrix.csv")
     write_csv_predictions(out / "preds.csv", make_preds())
+    write_logits_file(out / "preds.clbx", make_preds())
     for argv in (["eval", "--logits", logits_file, "--out", "eval.jsonl"],
                  ["correlate", "--table", table_csv, "--out", "corr.csv"],
                  ["search", "--benchmark", out / "bench.jsonl",
@@ -1199,7 +1214,7 @@ def test_outputs_leave_the_umask_alone(tmp_path, logits_file, table_csv,
     monkeypatch.setattr(os, "umask", umask)
     outputs = write_every_output(tmp_path, logits_file, table_csv)
     assert [p.suffix for p in outputs].count(".tmp") == 0
-    assert len(outputs) == 11
+    assert len(outputs) == 12
 
 
 def test_outputs_get_the_umask_mode(tmp_path, logits_file, table_csv):

@@ -1,4 +1,5 @@
 """Tests for prediction containers, softmax, splits, and score-file IO."""
+import errno
 import re
 import struct
 import tracemalloc
@@ -21,6 +22,7 @@ from calibrex import (
     write_csv_predictions,
     write_logits_file,
 )
+from calibrex import predictions
 from calibrex.predictions import FORMAT_VERSION, MAGIC, _HEADER
 
 
@@ -73,6 +75,19 @@ def test_validation_rejects_bad_values():
         PredictionSet([[0.0, 1.0]], [2])
     with pytest.raises(ValueError, match="label -1"):
         PredictionSet([[0.0, 1.0], [0.0, 1.0]], [0, -1])
+    # each was once cast to int64: 1.7 became 1, True 1, nan a huge
+    # negative number with a RuntimeWarning
+    for labels, shown, row in (([0.5, 1.7, 1.0], "0.5", 0),
+                               ([0.0, 1.7, 1.0], "1.7", 1),
+                               ([True, False, True], "True", 0),
+                               ([0.0, np.nan, 1.0], "nan", 1)):
+        with pytest.raises(ValueError, match=f"^label {re.escape(shown)} is "
+                           f"not an integer in row {row}$"):
+            PredictionSet(np.zeros((3, 2)), labels)
+    for labels in ([0.0, 1.0, 1.0], np.array([0, 1, 1], dtype=np.uint8)):
+        p = PredictionSet(np.zeros((3, 2)), labels)
+        assert p.labels.dtype == np.int64
+        assert p.labels.tolist() == [0, 1, 1]
 
 
 def test_probability_flag_validation():
@@ -334,6 +349,24 @@ def _write_valid(tmp_path, name="v.bin"):
     path = tmp_path / name
     write_logits_file(path, p)
     return path
+
+
+def test_binary_write_that_fails_keeps_the_old_file(tmp_path,
+                                                    monkeypatch):
+    # the file was once opened for writing first, so a failed write left
+    # the old file empty
+    path = _write_valid(tmp_path)
+    old = path.read_bytes()
+
+    class NoSpace:
+        def pack(self, *values):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(predictions, "_HEADER", NoSpace())
+    with pytest.raises(OSError, match="No space left"):
+        write_logits_file(path, random_preds(np.random.default_rng(3), 4, 3))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_binary_truncated_header(tmp_path):
