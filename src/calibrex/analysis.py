@@ -65,11 +65,27 @@ class MetricTable:
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
-            import difflib  # only a miss pays its import
-            near = difflib.get_close_matches(name, self.columns, 5, 0)
-            raise KeyError(f"no column {name!r} among {len(self.columns)} "
-                           f"columns; nearest: {near}")
+            raise _no_column(name, self.columns)
         return self.columns[name]
+
+
+def _no_column(name: str, names) -> KeyError:
+    """The error for a column ``name`` that ``names`` lacks."""
+    import difflib  # only a miss pays its import
+    near = difflib.get_close_matches(name, names, 5, 0)
+    return KeyError(f"no column {name!r} among {len(names)} columns; "
+                    f"nearest: {near}")
+
+
+def _check_columns(names: Sequence[str], have) -> None:
+    """Raise for the first name given twice, then for the first that
+    ``have`` lacks."""
+    repeated = [c for i, c in enumerate(names) if c in names[:i]]
+    if repeated:
+        raise ValueError(f"column {repeated[0]!r} is repeated")
+    for name in names:
+        if name not in have:
+            raise _no_column(name, have)
 
 
 # Rows are padded to a power of two; the first merge level counts
@@ -229,11 +245,8 @@ def correlation_matrix(table: MetricTable,
     """
     names = list(column_names) if column_names is not None \
         else sorted(table.columns)
-    repeated = [c for i, c in enumerate(names) if c in names[:i]]
-    if repeated:
-        raise ValueError(f"column {repeated[0]!r} is repeated")
-    columns = [table.column(name) for name in names]
-    return names, _tau_b(columns, table.n_rows)
+    _check_columns(names, table.columns)
+    return names, _tau_b([table.columns[c] for c in names], table.n_rows)
 
 
 def top_k_by(table: MetricTable, column: str, k: int) -> MetricTable:
@@ -316,25 +329,34 @@ def read_table_csv(path) -> MetricTable:
     """A table as ``write_table_csv`` writes it: header ``arch_index`` and
     one distinct name per column, then one row per architecture."""
     with open(path, newline="") as fh:
-        header = read_header(path, fh)
-        if not header or header[0] != "arch_index":
-            raise ValueError(f"{path}: first column must be arch_index")
-        repeated = [c for i, c in enumerate(header) if c in header[:i]]
-        if repeated:
-            raise ValueError(f"{path}: line 1: column {repeated[0]!r} is "
-                             "repeated")
-        names = header[1:]
-        # one field per header cell: a short or long row, a non-integer
-        # arch_index or a non-numeric or non-finite cell raises ValueError
-        dtype = [("arch_index", np.int64)] + [(f"c{i}", np.float64)
-                                             for i in range(len(names))]
+        return _table_body(path, fh, _table_header(path, fh))
 
-        def finite(data):  # the column rule, naming a bad cell's line
-            cols = {name: data[f"c{i}"] for i, name in enumerate(names)}
-            _float_columns(cols, data.size, lambda name, row: (
-                f"column {name!r}: {cols[name][row]} is not a finite number"))
 
-        data = read_rows(path, fh, dtype, delimiter=",", check=finite)
+def _table_header(path, fh) -> List[str]:
+    """The column names of the table whose header line ``fh`` is at."""
+    header = read_header(path, fh)
+    if not header or header[0] != "arch_index":
+        raise ValueError(f"{path}: first column must be arch_index")
+    repeated = [c for i, c in enumerate(header) if c in header[:i]]
+    if repeated:
+        raise ValueError(f"{path}: line 1: column {repeated[0]!r} is "
+                         "repeated")
+    return header[1:]
+
+
+def _table_body(path, fh, names: List[str]) -> MetricTable:
+    """The table of the rows after the header ``_table_header`` read."""
+    # one field per header cell: a short or long row, a non-integer
+    # arch_index or a non-numeric or non-finite cell raises ValueError
+    dtype = [("arch_index", np.int64)] + [(f"c{i}", np.float64)
+                                         for i in range(len(names))]
+
+    def finite(data):  # the column rule, naming a bad cell's line
+        cols = {name: data[f"c{i}"] for i, name in enumerate(names)}
+        _float_columns(cols, data.size, lambda name, row: (
+            f"column {name!r}: {cols[name][row]} is not a finite number"))
+
+    data = read_rows(path, fh, dtype, delimiter=",", check=finite)
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
     try:

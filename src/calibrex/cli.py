@@ -57,6 +57,19 @@ def _eval_one(task):
     return suite._suite_values(read(path), config)  # floats, no records
 
 
+def _eval_records(tasks, results):  # each model's warning, then records
+    for (path, config), (values, temp) in zip(tasks, results):
+        if temp is not None and temp.at_bound:  # the fit's own flag
+            print(f"warning: {path}: fitted temperature {temp.value:.6g} "
+                  f"is at the bound of [{T_MIN:g}, {T_MAX:g}]",
+                  file=sys.stderr)
+        for rec in suite._records_of(config, values, temp):
+            if not math.isfinite(rec["value"]):  # the one value check
+                raise ValueError(f"{path}: {suite.metric_key(rec)} must "
+                                 f"be finite, got {rec['value']!r}")
+            yield rec
+
+
 def cmd_eval(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
@@ -78,8 +91,6 @@ def cmd_eval(args) -> int:
     tasks = [(path, dataclasses.replace(
         config, benchmark_dataset=Path(path).stem, arch_index=idx,
         ood_inputs=ood)) for idx, path in enumerate(args.logits)]
-    # one model's values at a time, in input order, into one atomic write
-    written = 0
     with contextlib.ExitStack() as stack:
         results = map(_eval_one, tasks)
         if args.jobs > 1:
@@ -87,18 +98,7 @@ def cmd_eval(args) -> int:
             pool = stack.enter_context(multiprocessing.Pool(args.jobs))
             chunks, extra = divmod(len(tasks), args.jobs * 4)  # as map
             results = pool.imap(_eval_one, tasks, chunks + bool(extra))
-        fh = stack.enter_context(atomic_output(args.out))
-        for (path, config), (values, temp) in zip(tasks, results):
-            if temp is not None and temp.at_bound:  # the fit's own flag
-                print(f"warning: {path}: fitted temperature {temp.value:.6g} "
-                      f"is at the bound of [{T_MIN:g}, {T_MAX:g}]",
-                      file=sys.stderr)
-            for rec in suite._records_of(config, values, temp):
-                if not math.isfinite(rec["value"]):  # the one value check
-                    raise ValueError(f"{path}: {suite.metric_key(rec)} must "
-                                     f"be finite, got {rec['value']!r}")
-                fh.write(suite._record_line(rec))
-            written += len(values)
+        written = suite.write_records(_eval_records(tasks, results), args.out)
     print(f"{written} records written")
     return 0
 
@@ -108,10 +108,17 @@ def cmd_correlate(args) -> int:
         raise ValueError("--top-k and --by must be given together")
     if args.top_k is not None:
         _check_count("k", args.top_k)  # top_k_by's rule, before the read
-    table = analysis.read_table_csv(args.table)
+    columns = args.columns.split(",") if args.columns else None
+    with open(args.table, newline="") as fh:
+        # the names, --by first, are checked on the header, before the body
+        header = analysis._table_header(args.table, fh)
+        if args.by is not None:
+            analysis._check_columns([args.by], header)
+        if columns is not None:
+            analysis._check_columns(columns, header)
+        table = analysis._table_body(args.table, fh, header)
     if args.top_k is not None:
         table = analysis.top_k_by(table, args.by, args.top_k)
-    columns = args.columns.split(",") if args.columns else None
     names, mat = analysis.correlation_matrix(table, columns)
     if len(names) > 1:
         for name in names:
@@ -124,16 +131,25 @@ def cmd_correlate(args) -> int:
     return 0
 
 
+def _first_space(path):
+    """The search space of a records file's first record, None when it has
+    none.  The pivot refuses a later record of another space, so this is
+    the space of the whole file."""
+    with contextlib.closing(suite.iter_records(path)) as records:
+        return next((rec["search_space"] for rec in records), None)
+
+
 def cmd_search(args) -> int:
     config = search.SearchConfig(budget=args.budget, seed=args.seed)
     objective = search.make_objective(args.objective, args.beta)
     if args.benchmark == "synthetic":
         bench = search.synth_benchmark(args.space, seed=config.seed)
     else:
+        space = _first_space(args.benchmark)
+        if space not in (None, args.space):
+            raise ValueError(f"benchmark is {space}, --space says "
+                             f"{args.space}")
         bench = search.load_benchmark(args.benchmark)
-        if bench.space != args.space:
-            raise ValueError(f"benchmark is {bench.space}, "
-                             f"--space says {args.space}")
     algo = {"rs": search.random_search, "re": search.regularized_evolution,
             "ls": search.local_search}[args.algo]
     result = algo(bench, objective, config)
@@ -177,13 +193,13 @@ def cmd_report(args) -> int:
     if args.brackets is not None:
         edges = _numbers("--brackets", args.brackets, float)
         analysis.size_brackets([], edges)  # the edge rule, before the read
-    space, table = suite.read_records(args.records)
+        if _first_space(args.records) not in (None, "sss"):
+            raise ValueError("size brackets need sss records (model size is "
+                             "the channel sum)")
+    _, table = suite.read_records(args.records)
     if args.brackets is None:
         labels, group = ["all"], np.zeros(table.n_rows, dtype=np.int64)
     else:
-        if space != "sss":
-            raise ValueError("size brackets need sss records (model size is "
-                             "the channel sum)")
         archs = archspace.enumerate_sss()
         outside = table.arch_index[table.arch_index >= len(archs)]
         if outside.size:

@@ -121,13 +121,19 @@ class PredictionSet:
         scores = np.array(self.scores, dtype=np.float64, copy=True,
                           order="C")
         labels = np.asarray(self.labels)
-        # a whole float passes and a bool is refused; _check refuses a
-        # shape that is not 1-D
-        if labels.dtype.kind not in "iu" and labels.ndim == 1:
-            for row, x in enumerate(labels.tolist()):
-                if not (_is_int(x) or isinstance(x, float) and x.is_integer()):
-                    raise ValueError(f"label {x!r} is not an integer in "
-                                     f"row {row}")
+        entries = ()  # _check refuses a shape that is not 1-D
+        if labels.ndim == 1 and labels.dtype.kind not in "iu":
+            entries = labels.tolist()
+        elif labels.ndim == 1 and not isinstance(self.labels, np.ndarray):
+            entries = self.labels  # numpy reads [0, True] as two int64s
+        # a whole float in int64's range passes and a bool is refused
+        for row, x in enumerate(entries):
+            if not (_is_int(x) or isinstance(x, float) and x.is_integer()):
+                raise ValueError(f"label {x!r} is not an integer in "
+                                 f"row {row}")
+            if not -2**63 <= x < 2**63:
+                raise ValueError(f"label {x!r} is outside the int64 range "
+                                 f"in row {row}")
         labels = labels.astype(np.int64)  # a copy: the caller's stays theirs
         _check(scores, labels, self.is_probabilities)
         _freeze(self, scores, labels)

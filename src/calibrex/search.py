@@ -21,7 +21,7 @@ from .archspace import (SPACES, SSS_CHANNELS, TSS_OPS, SssArch, TssArch,
                         parse_arch, sss_string, tss_string)
 from .predictions import (_check_count, _check_index, _check_positive,
                           _check_seed, atomic_output)
-from .suite import _SPACES, MeasurementRecord, read_records, write_records
+from .suite import _SPACES, read_records, write_records
 
 OBJECTIVES = ("acc", "ece", "hcs")
 # the bin count of the ECE a benchmark file gives its architectures
@@ -129,11 +129,14 @@ def synth_benchmark(space: str = "tss", seed: int = 0,
 def write_benchmark(bench: TabularBenchmark, records_path: str) -> None:
     """Persist a benchmark as suite-style JSONL plus an arch-index file at
     ``default_index_path(records_path)``."""
-    cells = (("accuracy", None), ("ece", ECE_BINS))
-    records = [MeasurementRecord("benchmark", bench.space, i, metric, bins,
-                                 "pre", "test", bench.metrics[metric][i])
-               for i in range(len(bench)) for metric, bins in cells]
-    write_records(records, records_path)
+    # TabularBenchmark checked the values: plain dicts, checked no more
+    acc, ece = (bench.metrics[m].tolist() for m in ("accuracy", "ece"))
+    write_records((dict(benchmark_dataset="benchmark", split="test",
+                        search_space=bench.space, stage="pre", arch_index=i,
+                        metric=m, bin_count=b, value=v, temperature=None)
+                   for i in range(len(bench)) for m, b, v in (
+                       ("accuracy", None, acc[i]), ("ece", ECE_BINS, ece[i]))),
+                  records_path)
     with atomic_output(default_index_path(records_path)) as fh:
         json.dump({a: i for i, a in enumerate(bench.archs)}, fh,
                   sort_keys=True)

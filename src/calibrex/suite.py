@@ -146,9 +146,8 @@ class SuiteConfig:
             for s in ood:
                 s.setflags(write=False)
             object.__setattr__(self, "ood_inputs", ood)
-        # the record's own rules on the tags
-        MeasurementRecord(self.benchmark_dataset, self.search_space,
-                          self.arch_index, "nll", None, "pre", "test", 0.0)
+        # the record's own rules on the tags, as they tag the first record
+        check_record(next(_records_of(self, [0.0], None)))
 
 
 # each takes a stage's probabilities and its ``binning._top_label`` state
@@ -231,18 +230,15 @@ def _records_of(config: SuiteConfig, values, temp) -> Iterator[dict]:
                    temperature=temp.value if stage == "post" else None)
 
 
-def _record_line(rec: dict) -> str:
-    """A record dict's JSONL line, the one form records are written in."""
-    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_records(records: Iterable[MeasurementRecord], path) -> int:
-    """Write records as JSONL as they come, atomically (write temp file,
-    then rename); returns how many were written."""
+def write_records(records: Iterable, path) -> int:
+    """Write ``MeasurementRecord``s or record dicts (as ``iter_records``
+    yields; written as given) as sorted compact JSONL lines as they come,
+    atomically (temp file, then rename); returns how many were written."""
     count = 0
     with atomic_output(path) as fh:
         for count, r in enumerate(records, start=1):
-            fh.write(_record_line(r.to_dict()))
+            fh.write(json.dumps(r if isinstance(r, dict) else vars(r),
+                                sort_keys=True, separators=(",", ":")) + "\n")
     return count
 
 
@@ -355,10 +351,10 @@ def _fast_block(data: bytes, n: int, first: int,
     """The block's ``n`` lines as columns, or None unless every line is
     canonical and passes ``check_record``.  Datasets and temperatures are
     checked but not kept."""
-    found = _canonical_line().findall(data)
-    if len(found) != n:
+    parts = _canonical_line().split(data)  # per line: gap, five spans
+    if len(parts) != 6 * n + 1:
         return None
-    archs, datasets, kinds, temps, values = zip(*found)
+    archs, datasets, kinds, temps, values = (parts[i::6] for i in range(1, 6))
     value = np.fromiter(map(float, values), np.float64, n)
     if not np.isfinite(value).all():
         return None

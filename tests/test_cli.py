@@ -241,20 +241,20 @@ def test_eval_warns_once_per_file_whose_temperature_is_at_a_bound(
 def test_eval_builds_no_record_object_per_value(tmp_path, logits_file,
                                                 ood_files, monkeypatch):
     # each of the 102 values was once a MeasurementRecord that re-ran the
-    # record checks on a number the suite had just computed
-    calls = []
-    post_init = suite.MeasurementRecord.__post_init__
-
-    def counting(self):
-        calls.append(self)
-        post_init(self)
-    monkeypatch.setattr(suite.MeasurementRecord, "__post_init__", counting)
+    # record checks on a number the suite had just computed; the config's
+    # tag check then built two more
+    def refuse(self):
+        raise AssertionError("a MeasurementRecord was built")
     out = tmp_path / "r.jsonl"
-    assert main(["eval", "--logits", logits_file, "--ood-in", ood_files[0],
-                 "--ood-out", ood_files[1], "--out", str(out)]) == 0
-    # the tag checks of the call's SuiteConfig and of its per-file copy
-    assert len(calls) == 2
-    assert len(out.read_text().splitlines()) == 102
+    argv = ["eval", "--logits", logits_file, "--ood-in", ood_files[0],
+            "--ood-out", ood_files[1], "--out", str(out)]
+    assert main(argv) == 0
+    expected = out.read_bytes()
+    monkeypatch.setattr(suite.MeasurementRecord, "__post_init__", refuse)
+    out.unlink()
+    assert main(argv) == 0
+    assert out.read_bytes() == expected
+    assert len(expected.splitlines()) == 102
 
 
 def test_eval_warning_comes_from_the_fit(tmp_path, logits_file, monkeypatch,
@@ -555,6 +555,26 @@ def test_correlate_unknown_column_exits_2(tmp_path, table_csv, capsys):
     assert "no column 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--top-k", "99", "--by", "nope"],
+     "no column 'nope' among 2 columns; nearest: ['nll_pre', 'ece_10_pre']"),
+    (["--columns", "nll_pre,nope,nll_pre"], "column 'nll_pre' is repeated"),
+    (["--columns", "nll_pre,nope"],
+     "no column 'nope' among 2 columns; nearest: ['nll_pre', 'ece_10_pre']"),
+])
+def test_correlate_checks_names_on_the_header(tmp_path, capsys, flags,
+                                              error):
+    # once checked after the whole body was parsed, so the short second
+    # row (or, with --top-k 99, the table size) was the error printed
+    table = tmp_path / "table.csv"
+    table.write_text("arch_index,ece_10_pre,nll_pre\n0,0.1,1.0\n1,0.2\n")
+    out = tmp_path / "mat.csv"
+    assert main(["correlate", "--table", str(table), *flags,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 def test_correlate_names_a_constant_column(tmp_path, capsys):
     # its tau-b row and column are nan, once without a word
     table = tmp_path / "table.csv"
@@ -758,6 +778,20 @@ def test_search_space_mismatch_exits_2(tmp_path, capsys):
                "--budget", "3", "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "benchmark is tss" in capsys.readouterr().err
+    # the first record decides, before a later bad line is read (once the
+    # whole file was read first, so the bad line was the error)
+    lines = Path(bench_path).read_text().splitlines(keepends=True)
+    Path(bench_path).write_text(lines[0] + "{not json\n" + "".join(lines[1:]))
+    rc = main(["search", "--benchmark", bench_path, "--space", "sss",
+               "--budget", "3", "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: benchmark is tss, --space says sss\n"
+    rc = main(["search", "--benchmark", bench_path, "--space", "tss",
+               "--budget", "3", "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bench_path}:2: bad "
+                                              "record: ")
 
 
 def test_search_missing_benchmark_exits_2(tmp_path, capsys):
@@ -994,6 +1028,20 @@ def test_report_size_brackets_require_sss(tmp_path, logits_file, capsys):
                "--out", str(out)])
     assert rc == 2
     assert "sss" in capsys.readouterr().err
+    assert not out.exists()
+    # the first record decides, before a later bad line is read
+    lines = Path(records).read_text().splitlines(keepends=True)
+    Path(records).write_text(lines[0] + "{not json\n" + "".join(lines[1:]))
+    rc = main(["report", "--records", records, "--brackets", "120",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: size brackets need sss "
+                                       "records (model size is the channel "
+                                       "sum)\n")
+    rc = main(["report", "--records", records, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {records}:2: bad "
+                                              "record: ")
     assert not out.exists()
     # an arch_index past the 32,768 sss points has no model size
     write_records([MeasurementRecord("d", "sss", 32_768, "ece", 15, "pre",

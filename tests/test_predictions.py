@@ -3,6 +3,7 @@ import errno
 import re
 import struct
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -77,13 +78,24 @@ def test_validation_rejects_bad_values():
         PredictionSet([[0.0, 1.0], [0.0, 1.0]], [0, -1])
     # each was once cast to int64: 1.7 became 1, True 1, nan a huge
     # negative number with a RuntimeWarning
+    # numpy reads [0, True, 1] as three int64s, so it once loaded [0, 1, 1]
     for labels, shown, row in (([0.5, 1.7, 1.0], "0.5", 0),
                                ([0.0, 1.7, 1.0], "1.7", 1),
                                ([True, False, True], "True", 0),
+                               ([0, True, 1], "True", 1),
                                ([0.0, np.nan, 1.0], "nan", 1)):
         with pytest.raises(ValueError, match=f"^label {re.escape(shown)} is "
                            f"not an integer in row {row}$"):
             PredictionSet(np.zeros((3, 2)), labels)
+    # a whole float past int64 once reached the cast, which warned
+    for labels, shown in (([0.0, 1e20, 1.0], "1e+20"),
+                          ([0.0, -1e20, 1.0], "-1e+20"),
+                          ([0, 10**20, 1], str(10**20))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^label {re.escape(shown)} "
+                               "is outside the int64 range in row 1$"):
+                PredictionSet(np.zeros((3, 2)), labels)
     for labels in ([0.0, 1.0, 1.0], np.array([0, 1, 1], dtype=np.uint8)):
         p = PredictionSet(np.zeros((3, 2)), labels)
         assert p.labels.dtype == np.int64

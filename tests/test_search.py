@@ -160,6 +160,26 @@ def test_benchmark_write_load_round_trip(tmp_path):
         assert loaded.query(a) == pytest.approx(bench.query(a))
 
 
+def test_benchmark_write_builds_no_record_object(tmp_path, monkeypatch):
+    # each value was once a MeasurementRecord that re-checked a value the
+    # benchmark had checked already; the bytes stay those records' bytes
+    from calibrex import MeasurementRecord, write_records
+    bench = small_bench()
+    want = tmp_path / "want.jsonl"
+    write_records([MeasurementRecord("benchmark", "tss", i, m, b, "pre",
+                                     "test", bench.metrics[m][i])
+                   for i in range(len(bench))
+                   for m, b in (("accuracy", None), ("ece", 15))], want)
+
+    def refuse(self):
+        raise AssertionError("a MeasurementRecord was built")
+    monkeypatch.setattr(MeasurementRecord, "__post_init__", refuse)
+    path = tmp_path / "bench.jsonl"
+    write_benchmark(bench, str(path))
+    assert path.read_bytes() == want.read_bytes()
+    assert load_benchmark(str(path)).archs == sorted(bench.archs)
+
+
 def test_failed_index_write_keeps_the_old_index(tmp_path, monkeypatch):
     path = str(tmp_path / "bench.jsonl")
     write_benchmark(small_bench(), path)

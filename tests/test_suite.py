@@ -328,6 +328,18 @@ def test_jsonl_round_trip(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
 
 
+def test_jsonl_rewrite_of_read_dicts_is_byte_identical(tmp_path):
+    # write_records takes what iter_records yields, escapes and all
+    records = run_suite(make_preds(), SuiteConfig(
+        ood_inputs=ood_pair(), benchmark_dataset='caf\u00e9 "q" \\ \t'))
+    p, q = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
+    assert write_records(records, p) == len(records)
+    assert b'"benchmark_dataset":"caf\\u00e9 \\"q\\" \\\\ \\t"' \
+        in p.read_bytes()
+    assert write_records(iter_records(p), q) == len(records)
+    assert q.read_bytes() == p.read_bytes()
+
+
 def test_jsonl_write_is_byte_deterministic(tmp_path):
     records = run_suite(make_preds(), SuiteConfig())
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
